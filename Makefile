@@ -11,37 +11,31 @@
 #   make bench-baseline  regenerate results/BENCH_*.json via cmd/benchjson
 #                        and append to results/BENCH_history.jsonl
 #   make trace-check     fixed-seed Chrome trace vs committed golden bytes
-#   make trace-golden    rewrite the golden after an intentional format change
 #   make chaos-check     fault-injection suite: injector contracts, degradation
 #                        paths, live replays, sim matrix vs committed golden
-#   make chaos-golden    rewrite the chaos golden after an intentional change
 #   make parity-check    replay parity under -race: one recorded simulator
 #                        trace through the live runtime's decider must yield
 #                        byte-identical decisions (DESIGN.md §10)
-#   make parity-golden   rewrite the parity decision-stream golden
 #   make cluster-check   fleet sweep determinism: dispatcher streams, fleet
 #                        runs, sweep table vs golden + multi-seed SHA-256
-#   make cluster-golden  rewrite the fleet sweep goldens
 #   make obs-check       observability plane: seeded report vs committed
 #                        golden (byte-stable modulo provenance), ledger
 #                        reconciliation + pure-observer pins, zero-alloc
 #                        decide with ledger, scrape-under-sweep race,
 #                        BENCH_history.jsonl schema validation
-#   make obs-golden      rewrite the report golden after an intentional change
 #   make workload-check  cohort workload gate: arrival-process statistics,
 #                        trace v2 header schema, fixed-seed cohort sweep vs
 #                        committed golden (per-spec table, per-SLO-class
 #                        latency, trace + decision SHA-256), -parallel 1 vs 8
 #                        byte-identity, record→replay→re-record round trips
-#   make workload-golden rewrite the workload sweep golden after an
-#                        intentional change
 #   make tune-check      policy-params + digital-twin gate: params schema
 #                        round-trip/SHA pins, search-spec enumeration, and
 #                        the fixed-seed retail-tune winners table vs its
 #                        committed golden with -parallel 1 vs 8 byte
 #                        identity and exact winner-replay reproduction
-#   make tune-golden     rewrite the tune winners golden after an
-#                        intentional change
+#   make golden          rewrite every golden file the *-check targets
+#                        compare against, after an intentional change;
+#                        `git diff` then shows exactly what moved
 #   make smoke   build-and-run every example and command briefly
 #   make check   build + vet + test (the pre-commit bundle)
 
@@ -62,7 +56,7 @@ GO ?= go
 HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|Sweep|Cluster)'
 HOT_PKGS  = ./internal/sim ./internal/manager ./internal/experiments ./internal/cluster
 
-.PHONY: build test race vet bench bench-check bench-baseline trace-check trace-golden chaos-check chaos-golden parity-check parity-golden cluster-check cluster-golden obs-check obs-golden workload-check workload-golden tune-check tune-golden smoke check clean
+.PHONY: build test race vet bench bench-check bench-baseline trace-check chaos-check parity-check cluster-check obs-check workload-check tune-check golden smoke check clean
 
 build:
 	$(GO) build ./...
@@ -90,25 +84,18 @@ bench-baseline:
 
 # The Chrome trace exporter's bytes are a contract (Perfetto tooling,
 # diffable artifacts): a fixed-seed simulation must serialize identically
-# on every run. trace-golden rewrites the committed file after an
+# on every run. `make golden` rewrites the committed file after an
 # intentional format change.
 trace-check:
 	$(GO) test -run 'TestChromeTrace(Golden|Deterministic)' -count=1 ./internal/trace
-
-trace-golden:
-	$(GO) test -run TestChromeTraceGolden -count=1 ./internal/trace -update
 
 # The fault-injection and graceful-degradation suite (DESIGN.md §9):
 # injector determinism and zero-alloc contracts, DVFS retry/fallback and
 # shedding paths, fixed-seed live replays of the built-in plans, and the
 # simulator chaos matrix compared byte-for-byte against its golden.
-# chaos-golden rewrites the committed matrix after an intentional change.
 CHAOS_TESTS = 'TestInjector|TestFault|TestPlan|TestCorrupting|TestApplyLevel|TestSysfsBackendReconcile|TestShed|TestClientRetries|TestDeadlineDrop|TestServerExecFault|TestChaos|TestLiveChaos'
 chaos-check:
 	$(GO) test -count=1 -run $(CHAOS_TESTS) ./internal/fault ./internal/live ./internal/experiments
-
-chaos-golden:
-	$(GO) test -run TestChaosSimGolden -count=1 ./internal/experiments -update
 
 # Replay parity (DESIGN.md §10): the simulator adapter records every
 # input the shared decision core consumed; replaying the trace through
@@ -118,21 +105,14 @@ chaos-golden:
 parity-check:
 	$(GO) test -race -count=1 -run 'TestReplayParity' ./internal/experiments
 
-parity-golden:
-	$(GO) test -run TestReplayParity -count=1 ./internal/experiments -update
-
 # The cluster layer's determinism gate: dispatcher placement streams,
 # fleet runs and the routing×policy×load sweep table — byte-compared
 # against its golden and SHA-256-pinned at two seeds, plus the
-# -parallel 1 vs 8 byte-identity check. cluster-golden rewrites both
-# goldens after an intentional change.
+# -parallel 1 vs 8 byte-identity check.
 cluster-check:
 	$(GO) test -count=1 -run 'TestDispatcher|TestNewDispatcher|TestRoundRobinDispatch|TestLeastLoadedDispatch|TestGlobalJSQDispatch|TestPowerOfTwoDispatch' ./internal/policy
 	$(GO) test -count=1 -run 'TestRunFleet' ./internal/cluster
 	$(GO) test -count=1 -run 'TestFleetSweep' ./internal/experiments
-
-cluster-golden:
-	$(GO) test -run 'TestFleetSweep(Golden|MultiSeedSHA)' -count=1 ./internal/experiments -update
 
 # The observability plane's gate (DESIGN.md §12): a seeded fleet sweep's
 # canonical report must match the committed golden byte-for-byte
@@ -146,9 +126,6 @@ obs-check:
 	$(GO) test -race -count=1 -run 'TestMetricsScrapeDuringFleetSweep' ./internal/experiments
 	$(GO) test -count=1 -run 'TestBenchHistorySchema|TestHistogramHDREquivalence|TestLogLinear' ./cmd/benchjson ./internal/telemetry ./internal/stats
 
-obs-golden:
-	$(GO) test -run TestFleetReportGolden -count=1 ./internal/experiments -update
-
 # The ServeGen-class workload gate (DESIGN.md §13): per-arrival-process
 # statistical checks (mean rate, index of dispersion, diurnal phase),
 # the trace v2 header schema pin, and the fixed-seed cohort-spec sweep —
@@ -157,13 +134,9 @@ obs-golden:
 # committed golden, plus -parallel 1 vs 8 byte-identity. Every sweep
 # cell internally proves record→replay→re-record byte identity through
 # the simulator and classed decision parity through the live decider.
-# workload-golden rewrites the golden after an intentional change.
 workload-check:
 	$(GO) test -count=1 -run 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema' ./internal/workload
 	$(GO) test -count=1 -run 'TestWorkloadSweep' ./internal/experiments
-
-workload-golden:
-	$(GO) test -run TestWorkloadSweepGolden -count=1 ./internal/experiments -update
 
 # The policy-parameterization and digital-twin gate (DESIGN.md §14):
 # params JSON round-trip bit-equality, strict unknown-field rejection,
@@ -172,14 +145,17 @@ workload-golden:
 # determinism, rejection surface), and the fixed-seed retail-tune
 # winners table byte-compared against its golden — including -parallel
 # 1 vs 8 byte-identity and the exact standalone reproduction of the
-# winner's scored metrics from its emitted params.json. tune-golden
-# rewrites the winners golden after an intentional change.
+# winner's scored metrics from its emitted params.json.
 tune-check:
 	$(GO) test -count=1 -run 'TestParams|TestMonitorGuardBand|TestQuantileFallback' ./internal/policy
 	$(GO) test -count=1 -run 'TestSpec|TestTune' ./internal/tune
 
-tune-golden:
-	$(GO) test -run TestTuneGolden -count=1 ./internal/tune -update
+# Every golden-file test compares through internal/golden, whose single
+# -update flag rewrites the file instead. golden reruns exactly those
+# tests with -update; only packages importing internal/golden accept it.
+GOLDEN_TESTS = '^(TestChromeTraceGolden|TestChaosSimGolden|TestReplayParity|TestFleetSweepGolden|TestFleetSweepMultiSeedSHA|TestFleetReportGolden|TestWorkloadSweepGolden|TestTuneGolden)$$'
+golden:
+	$(GO) test -count=1 -run $(GOLDEN_TESTS) ./internal/trace ./internal/experiments ./internal/tune -update
 
 smoke:
 	$(GO) test -run TestSmoke -v .

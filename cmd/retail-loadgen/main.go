@@ -34,6 +34,7 @@ import (
 	"retail/internal/obs"
 	"retail/internal/policy"
 	"retail/internal/sim"
+	"retail/internal/stats"
 	"retail/internal/workload"
 )
 
@@ -166,13 +167,14 @@ func main() {
 			}
 			log.Printf("recorded %s (%d records, sha256 %s)", *recordPath, len(trace.Records), sha)
 		}
-		runSpec(trace, app, target, *conns, *drain, *seed, *report)
-		return
+		span := time.Duration(trace.Records[len(trace.Records)-1].ArrivalNs())
+		log.Printf("trace-scheduled %s: %d records over %v via %d conns",
+			app.Name(), len(trace.Records), span.Round(time.Millisecond), *conns)
+	} else {
+		log.Printf("open-loop %s: %.0f RPS over %d conns for %v", app.Name(), *rps, *conns, *duration)
 	}
-
-	log.Printf("open-loop %s: %.0f RPS over %d conns for %v", app.Name(), *rps, *conns, *duration)
 	res, err := live.RunLoad(live.LoadConfig{
-		Addr: target, App: app,
+		Addr: target, Trace: trace, App: app,
 		RPS: *rps, Conns: *conns, Duration: *duration,
 		Seed: *seed, DrainTimeout: *drain,
 	})
@@ -180,65 +182,36 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res.Report())
-
-	if *report != "" {
-		q := func(p float64) float64 { return time.Duration(res.Latency.Quantile(p)).Seconds() }
-		rep := obs.NewReport("loadgen", *seed, obs.HashConfig("loadgen", app.Name(),
-			*rps, *conns, duration.String()))
-		rep.Loadgen = &obs.LoadgenReport{
-			App: app.Name(), Addr: target, Conns: *conns,
-			Duration:   duration.Seconds(),
-			Sent:       res.Sent,
-			Completed:  res.Completed,
-			Dropped:    res.Dropped,
-			Unanswered: res.Unanswered,
-			OfferedRPS: res.OfferedRPS,
-			SentRPS:    res.SentRPS,
-			ElapsedS:   res.Elapsed.Seconds(),
-			LatencyS: obs.LatencyQuantiles{
-				Min: time.Duration(res.Latency.Min()).Seconds(),
-				P50: q(0.50), P90: q(0.90), P99: q(0.99),
-				P999: q(0.999), P9999: q(0.9999),
-				Max: time.Duration(res.Latency.Max()).Seconds(),
-			},
-		}
-		if err := rep.WriteFile(*report); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("report      %s (v%d, config %s)\n", *report, rep.Version, rep.ConfigHash)
-	}
-}
-
-// runSpec sends a pre-drawn trace schedule over the wire and reports
-// latency per SLO class.
-func runSpec(trace *workload.Trace, app workload.App, target string,
-	conns int, drain time.Duration, seed int64, report string) {
-	span := time.Duration(trace.Records[len(trace.Records)-1].ArrivalNs())
-	log.Printf("trace-scheduled %s: %d records over %v via %d conns",
-		app.Name(), len(trace.Records), span.Round(time.Millisecond), conns)
-	res, err := live.RunSpecLoad(live.SpecLoadConfig{
-		Addr: target, Trace: trace, Conns: conns, DrainTimeout: drain,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res.Report())
-
-	if report == "" {
+	if *report == "" {
 		return
 	}
-	sha, err := trace.SHA()
-	if err != nil {
+
+	configHash := obs.HashConfig("loadgen", app.Name(), *rps, *conns, duration.String())
+	window := duration.Seconds()
+	if trace != nil {
+		sha, err := trace.SHA()
+		if err != nil {
+			log.Fatal(err)
+		}
+		configHash = obs.HashConfig("loadgen-spec", app.Name(), sha, *conns)
+		window = res.Elapsed.Seconds()
+	}
+	rep := obs.NewReport("loadgen", *seed, configHash)
+	rep.Loadgen = loadgenReport(res, app, target, *conns, window)
+	if err := rep.WriteFile(*report); err != nil {
 		log.Fatal(err)
 	}
-	qos := app.QoS()
-	pct := qos.Percentile / 100
-	q := func(p float64) float64 { return time.Duration(res.Latency.Quantile(p)).Seconds() }
-	rep := obs.NewReport("loadgen", seed, obs.HashConfig("loadgen-spec",
-		app.Name(), sha, conns))
+	fmt.Printf("report      %s (v%d, config %s)\n", *report, rep.Version, rep.ConfigHash)
+}
+
+// loadgenReport renders a run as the obs report payload: overall HDR
+// quantiles plus, for classed traces, latency against each class's QoS.
+func loadgenReport(res *live.LoadResult, app workload.App, target string,
+	conns int, window float64) *obs.LoadgenReport {
+	q := func(h *stats.HDR, p float64) float64 { return time.Duration(h.Quantile(p)).Seconds() }
 	lg := &obs.LoadgenReport{
 		App: app.Name(), Addr: target, Conns: conns,
-		Duration:   res.Elapsed.Seconds(),
+		Duration:   window,
 		Sent:       res.Sent,
 		Completed:  res.Completed,
 		Dropped:    res.Dropped,
@@ -248,29 +221,25 @@ func runSpec(trace *workload.Trace, app workload.App, target string,
 		ElapsedS:   res.Elapsed.Seconds(),
 		LatencyS: obs.LatencyQuantiles{
 			Min: time.Duration(res.Latency.Min()).Seconds(),
-			P50: q(0.50), P90: q(0.90), P99: q(0.99),
-			P999: q(0.999), P9999: q(0.9999),
+			P50: q(&res.Latency, 0.50), P90: q(&res.Latency, 0.90), P99: q(&res.Latency, 0.99),
+			P999: q(&res.Latency, 0.999), P9999: q(&res.Latency, 0.9999),
 			Max: time.Duration(res.Latency.Max()).Seconds(),
 		},
 	}
+	qos := app.QoS()
 	for i := range res.Classes {
 		c := &res.Classes[i]
-		cq := func(p float64) float64 { return time.Duration(c.Latency.Quantile(p)).Seconds() }
 		targetS := c.Scale * float64(qos.Latency) // sim.Duration is seconds
-		tail := cq(pct)
+		tail := q(&c.Latency, qos.Percentile/100)
 		lg.Classes = append(lg.Classes, obs.SLOClassLatency{
 			Class: c.Class, QoSScale: c.Scale,
 			Completed: c.Completed, Dropped: c.Dropped,
-			P50: cq(0.50), P95: cq(0.95), P99: cq(0.99),
+			P50: q(&c.Latency, 0.50), P95: q(&c.Latency, 0.95), P99: q(&c.Latency, 0.99),
 			TailAtQoS: tail, QoSTarget: targetS,
 			QoSMet: tail <= targetS,
 		})
 	}
-	rep.Loadgen = lg
-	if err := rep.WriteFile(report); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("report      %s (v%d, config %s)\n", report, rep.Version, rep.ConfigHash)
+	return lg
 }
 
 // flatPredictor is the selfhost stand-in for a trained model: a constant

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -11,10 +8,9 @@ import (
 	"time"
 
 	"retail/internal/fault"
+	"retail/internal/golden"
 	"retail/internal/telemetry"
 )
-
-var updateChaosGolden = flag.Bool("update", false, "rewrite the chaos golden file")
 
 // TestChaosSimGolden pins the deterministic simulator chaos matrix: two
 // in-process runs must render byte-identically, and the render must match
@@ -36,31 +32,7 @@ func TestChaosSimGolden(t *testing.T) {
 	if got != b.Render() {
 		t.Fatal("ChaosAll is not deterministic: two runs with the same seed rendered differently")
 	}
-	golden := filepath.Join("testdata", "chaos_golden.txt")
-	if *updateChaosGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal([]byte(got), want) {
-		gl := strings.Split(got, "\n")
-		wl := strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("chaos render diverges from golden at line %d:\n got: %q\nwant: %q\n(run with -update after intentional changes)", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("chaos render diverges from golden in length: got %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, filepath.Join("testdata", "chaos_golden.txt"), []byte(got))
 }
 
 // TestChaosSimInjectsAndRecovers checks the matrix semantics rather than

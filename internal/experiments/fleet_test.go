@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"retail/internal/golden"
 )
 
 // quickFleetConfig keeps the sweep CI-sized: a 4-node fleet per cell, two
@@ -36,41 +37,10 @@ func TestFleetSweepGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := res.Render()
-	golden := filepath.Join("testdata", "fleet_golden.txt")
-	if *updateChaosGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal([]byte(got), want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("fleet render diverges from golden at line %d:\n got: %q\nwant: %q\n(run with -update after intentional changes)",
-					i+1, gl[i], at(wl, i))
-			}
-		}
-		t.Fatalf("fleet render diverges from golden in length: got %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, filepath.Join("testdata", "fleet_golden.txt"), []byte(got))
 	if res.DistinctWinners() < 2 {
 		t.Fatalf("only %d distinct winning dispatchers — the routing axis no longer flips the p99 winner", res.DistinctWinners())
 	}
-}
-
-func at(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<eof>"
 }
 
 // TestFleetSweepMultiSeedSHA pins the SHA-256 of the rendered sweep at
@@ -92,21 +62,7 @@ func TestFleetSweepMultiSeedSHA(t *testing.T) {
 		t.Fatal("different seeds hashed identically")
 	}
 	got := strings.Join(lines, "\n") + "\n"
-	golden := filepath.Join("testdata", "fleet_sha256.txt")
-	if *updateChaosGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("multi-seed sweep hashes diverge:\n got:\n%s\nwant:\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "fleet_sha256.txt"), []byte(got))
 }
 
 // TestFleetSweepParallelByteIdentical is the sweep half of the dispatcher

@@ -92,9 +92,13 @@ func tableIVApp(cfg Config, name string) ([]ModelRow, error) {
 	qos := float64(app.QoS().Latency)
 
 	// LR.
+	lrTrain, err := linearFitTime(cal, grid.Levels())
+	if err != nil {
+		return nil, err
+	}
 	lrRow, err := scoreModel(name, "LR",
 		fmt.Sprintf("%d features", len(inputs)),
-		cal.Model, cal.Model.TrainDuration, test, qos)
+		cal.Model, lrTrain, test, qos)
 	if err != nil {
 		return nil, err
 	}
@@ -133,6 +137,28 @@ func tableIVApp(cfg Config, name string) ([]ModelRow, error) {
 	}
 	out = append(out, row)
 	return out, nil
+}
+
+// linearFitRefits is how many extra times linearFitTime repeats the LR
+// fit.
+const linearFitRefits = 5
+
+// linearFitTime is the wall-clock cost of the calibration's LR fit, the
+// best of the original fit and linearFitRefits identical refits. The fit
+// takes well under a millisecond, so a single sample of it is mostly
+// scheduler and GC noise from whatever else the host is running; the NN
+// fits run for tens of milliseconds or more, where that noise is a small
+// share. Inference below is averaged over many calls for the same reason.
+func linearFitTime(cal *core.Calibration, levels int) (time.Duration, error) {
+	best := cal.Model.TrainDuration
+	for i := 0; i < linearFitRefits; i++ {
+		m, err := predict.FitLinear(cal.Training, cal.Layout, levels)
+		if err != nil {
+			return 0, err
+		}
+		best = min(best, m.TrainDuration)
+	}
+	return best, nil
 }
 
 func scoreModel(app, model, structure string, p predict.Predictor, trainTime time.Duration, test []predict.Sample, qos float64) (ModelRow, error) {

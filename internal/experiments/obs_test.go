@@ -3,15 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"retail/internal/golden"
 	"retail/internal/obs"
 	"retail/internal/telemetry"
 )
@@ -171,40 +170,5 @@ func TestFleetReportGolden(t *testing.T) {
 		t.Fatalf("bad envelope: version=%d kind=%q", parsed.Version, parsed.Kind)
 	}
 
-	golden := filepath.Join("testdata", "report_golden.json")
-	if *updateChaosGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("canonical report diverges from golden (%d vs %d bytes) — run with -update after intentional changes%s",
-			len(got), len(want), firstDiff(got, want))
-	}
-}
-
-// firstDiff renders the first byte divergence between two JSON blobs as
-// a short context window, for actionable golden failures.
-func firstDiff(got, want []byte) string {
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		if got[i] != want[i] {
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			return fmt.Sprintf("\nfirst divergence at byte %d:\n got: %q\nwant: %q",
-				i, got[lo:min(i+40, len(got))], want[lo:min(i+40, len(want))])
-		}
-	}
-	return ""
+	golden.Check(t, filepath.Join("testdata", "report_golden.json"), got)
 }

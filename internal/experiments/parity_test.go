@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"retail/internal/golden"
 	"retail/internal/live"
 )
 
@@ -41,21 +41,7 @@ func TestReplayParity(t *testing.T) {
 	// policy changes.
 	sum := sha256.Sum256(res.SimBytes)
 	line := fmt.Sprintf("decisions=%d ticks=%d sha256=%x\n", len(res.Sim), res.Ticks, sum)
-	golden := filepath.Join("testdata", "parity_golden.txt")
-	if *updateChaosGolden {
-		if err := os.WriteFile(golden, []byte(line), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if string(want) != line {
-		t.Fatalf("decision stream diverges from golden:\n got: %s\nwant: %s(run with -update after intentional changes)", line, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "parity_golden.txt"), []byte(line))
 }
 
 // TestReplayParityNegativeControl: the harness is sensitive — replaying

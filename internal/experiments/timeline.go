@@ -8,6 +8,7 @@ import (
 	"retail/internal/manager"
 	"retail/internal/server"
 	"retail/internal/sim"
+	"retail/internal/stats"
 	"retail/internal/trace"
 	"retail/internal/workload"
 )
@@ -315,7 +316,8 @@ func (t *timedTail) add(at sim.Time, v float64) {
 	t.vals = append(t.vals, v)
 }
 
-// tail returns the percentile over the last span seconds.
+// tail returns the percentile, by the stats.Percentile rule, over the
+// last span seconds; false while that window holds fewer than 10 samples.
 func (t *timedTail) tail(now sim.Time, span float64) (float64, bool) {
 	var window []float64
 	for i := len(t.at) - 1; i >= 0; i-- {
@@ -327,17 +329,5 @@ func (t *timedTail) tail(now sim.Time, span float64) (float64, bool) {
 	if len(window) < 10 {
 		return 0, false
 	}
-	return percentileOf(window, t.pct), true
-}
-
-func percentileOf(xs []float64, p float64) float64 {
-	cp := append([]float64(nil), xs...)
-	// simple insertion sort; windows are small
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	idx := int(p / 100 * float64(len(cp)-1))
-	return cp[idx]
+	return stats.PercentileInPlace(window, t.pct), true
 }

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"retail/internal/golden"
 )
 
 // quickWorkloadConfig keeps the cohort sweep CI-sized: every builtin
@@ -34,31 +33,7 @@ func TestWorkloadSweepGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := res.Render()
-	golden := filepath.Join("testdata", "workload_golden.txt")
-	if *updateChaosGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal([]byte(got), want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("workload render diverges from golden at line %d:\n got: %q\nwant: %q\n(run with -update after intentional changes)",
-					i+1, gl[i], at(wl, i))
-			}
-		}
-		t.Fatalf("workload render diverges from golden in length: got %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, filepath.Join("testdata", "workload_golden.txt"), []byte(got))
 	// The multi-class spec must actually exercise the class dimension.
 	sawClasses := 0
 	for _, c := range res.Cells {

@@ -117,4 +117,68 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := RunLoad(LoadConfig{Addr: "127.0.0.1:1", App: workload.NewXapian(), Duration: time.Second}); err == nil {
 		t.Error("zero RPS accepted")
 	}
+	if _, err := RunLoad(LoadConfig{Addr: "127.0.0.1:1", Trace: &workload.Trace{}}); err == nil {
+		t.Error("empty Trace accepted")
+	}
+}
+
+// TestTraceScheduledLoad runs the generator from a trace schedule: the
+// builtin slo-mix spec's three SLO classes, pre-drawn at a modest rate.
+// Every record must be sent and answered exactly once, the per-class
+// tallies must add up to the totals, and each response must land in its
+// record's class.
+func TestTraceScheduledLoad(t *testing.T) {
+	spec, err := workload.LoadSpec("slo-mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := workload.RecordTrace(spec.ScaledTo(2000), 3, 0.5)
+	if len(tr.Header.Classes) != 3 {
+		t.Fatalf("slo-mix trace has classes %v, want 3", tr.Header.Classes)
+	}
+	perClass := make([]int, len(tr.Header.Classes))
+	for i, rec := range tr.Records {
+		perClass[rec.Class]++
+		if got := classOf(tr, uint64(i)+1); got != int(rec.Class) {
+			t.Fatalf("response to record %d attributed to class %d, want %d", i, got, rec.Class)
+		}
+	}
+	if classOf(tr, 0) != -1 || classOf(tr, uint64(len(tr.Records))+1) != -1 || classOf(nil, 1) != -1 {
+		t.Fatal("an ID naming no record was attributed to a class")
+	}
+
+	srv := saturationServer(t, 2)
+	res, err := RunLoad(LoadConfig{Addr: srv.Addr(), Trace: tr, Conns: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("\n%s", res.Report())
+	if res.Sent != len(tr.Records) {
+		t.Fatalf("sent %d of %d records", res.Sent, len(tr.Records))
+	}
+	if res.Unanswered != 0 || res.Completed+res.Dropped != res.Sent {
+		t.Fatalf("completed %d + dropped %d != sent %d (unanswered %d)",
+			res.Completed, res.Dropped, res.Sent, res.Unanswered)
+	}
+	if len(res.Classes) != len(perClass) {
+		t.Fatalf("%d class tallies, want %d", len(res.Classes), len(perClass))
+	}
+	var completed, dropped int
+	for i := range res.Classes {
+		c := &res.Classes[i]
+		if c.Class != tr.Header.Classes[i] {
+			t.Errorf("class %d named %q, want %q", i, c.Class, tr.Header.Classes[i])
+		}
+		if c.Completed+c.Dropped != perClass[i] {
+			t.Errorf("class %s answered %d, its records number %d", c.Class, c.Completed+c.Dropped, perClass[i])
+		}
+		if c.Latency.Count() != int64(c.Completed) {
+			t.Errorf("class %s latency count %d != completed %d", c.Class, c.Latency.Count(), c.Completed)
+		}
+		completed += c.Completed
+		dropped += c.Dropped
+	}
+	if completed != res.Completed || dropped != res.Dropped {
+		t.Errorf("per-class completed %d / dropped %d, totals %d / %d", completed, dropped, res.Completed, res.Dropped)
+	}
 }

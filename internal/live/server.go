@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -399,17 +400,28 @@ func (s *Server) serveConn(conn net.Conn) {
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		enc := json.NewEncoder(conn)
+		// Responses are buffered and flushed whenever the channel runs
+		// empty: an idle connection still sees each response at once,
+		// while under load a backlog leaves in one write instead of one
+		// syscall per response.
+		bw := bufio.NewWriterSize(conn, 16<<10)
+		enc := json.NewEncoder(bw)
 		for {
 			select {
 			case r := <-io.resp:
-				if err := enc.Encode(r); err != nil {
+				err := enc.Encode(r)
+				if err == nil && len(io.resp) == 0 {
+					err = bw.Flush()
+				}
+				if err != nil {
 					conn.Close() // unblock the reader; gone stops producers
 					return
 				}
 			case <-io.gone:
+				bw.Flush()
 				return
 			case <-s.stop:
+				bw.Flush()
 				return
 			}
 		}

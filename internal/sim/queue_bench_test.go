@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkQueue compares the three queue implementations head to head on
+// BenchmarkQueue compares the two queue implementations head to head on
 // the shapes that matter: the sparse schedule→fire cycle, steady-state
 // churn while holding N pending events (the fleet simulator's regime), and
 // schedule→cancel. The winner of the hold-N columns is NewEngine's default.

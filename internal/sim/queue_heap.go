@@ -3,7 +3,7 @@ package sim
 import "container/heap"
 
 // heapQueue is the original container/heap implementation — the reference
-// ordering the calendar and ladder queues are differential-tested against.
+// ordering the calendar queue is differential-tested against.
 // ev.index is the heap slot.
 type heapQueue struct {
 	h eventHeap

@@ -70,23 +70,21 @@ func runScript(k QueueKind, ops []queueTraceOp) []string {
 	return log
 }
 
-// TestQueueKindsMatchHeap is the tentpole's property test: for hundreds of
-// random schedule/cancel/run interleavings, the calendar and ladder queues
+// TestQueueKindsMatchHeap is the engine's ordering property test: for
+// hundreds of random schedule/cancel/run interleavings, the calendar queue
 // must reproduce the heap's fire sequence exactly — same events, same
 // times, same tie order, same Cancelled() reports.
 func TestQueueKindsMatchHeap(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		script := randomScript(seed, 200)
 		want := runScript(QueueHeap, script)
-		for _, k := range []QueueKind{QueueCalendar, QueueLadder} {
-			got := runScript(k, script)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %v: %d log entries, heap has %d", seed, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %v diverges at %d: %q vs heap %q", seed, k, i, got[i], want[i])
-				}
+		got := runScript(QueueCalendar, script)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: calendar has %d log entries, heap has %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: calendar diverges at %d: %q vs heap %q", seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -135,15 +133,13 @@ func TestQueueKindsMatchHeapNested(t *testing.T) {
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		want := run(QueueHeap, seed)
-		for _, k := range []QueueKind{QueueCalendar, QueueLadder} {
-			got := run(k, seed)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %v: %d log entries, heap has %d", seed, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %v diverges at %d: %q vs heap %q", seed, k, i, got[i], want[i])
-				}
+		got := run(QueueCalendar, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: calendar has %d log entries, heap has %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: calendar diverges at %d: %q vs heap %q", seed, i, got[i], want[i])
 			}
 		}
 	}

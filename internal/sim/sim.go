@@ -7,11 +7,10 @@
 // managers on identical request streams; every source of randomness is a
 // seeded *rand.Rand owned by the caller, never the global one.
 //
-// The queue behind the engine is pluggable (see QueueKind): a calendar
-// queue serves as the default hot-path structure, with the binary heap and
-// a ladder queue kept as reference implementations. Every queue obeys the
-// same exact-ordering contract, enforced by property tests that replay
-// identical schedules through all of them.
+// The queue behind the engine is a calendar queue; the binary heap is
+// kept as the reference implementation. Both obey the same exact-ordering
+// contract, enforced by property tests that replay identical schedules
+// through each and compare the calendar against the heap.
 package sim
 
 import (
@@ -76,7 +75,7 @@ type Event struct {
 	At    Time
 	seq   uint64
 	index int   // position within the queue's container; -1 once popped, -2 once cancelled
-	babs  int64 // queue-private location tag (calendar: absolute bucket; ladder: tier)
+	babs  int64 // queue-private location tag (calendar: absolute bucket)
 	gen   uint64
 
 	Do   func(*Engine)
@@ -148,15 +147,12 @@ const (
 	// amortized schedule/fire at any queue size. The default.
 	QueueCalendar QueueKind = iota
 	// QueueHeap is the original container/heap binary heap — the
-	// reference implementation the others are property-tested against.
+	// reference implementation the calendar is property-tested against.
 	QueueHeap
-	// QueueLadder is a two-tier ladder queue (sorted bottom rung fed
-	// from an unsorted overflow tier) kept for benchmarking.
-	QueueLadder
 )
 
 // QueueKinds lists every available queue implementation.
-func QueueKinds() []QueueKind { return []QueueKind{QueueCalendar, QueueHeap, QueueLadder} }
+func QueueKinds() []QueueKind { return []QueueKind{QueueCalendar, QueueHeap} }
 
 // String names the queue kind.
 func (k QueueKind) String() string {
@@ -165,8 +161,6 @@ func (k QueueKind) String() string {
 		return "calendar"
 	case QueueHeap:
 		return "heap"
-	case QueueLadder:
-		return "ladder"
 	}
 	return fmt.Sprintf("QueueKind(%d)", int(k))
 }
@@ -205,8 +199,6 @@ func NewEngineWithQueue(k QueueKind) *Engine {
 	switch k {
 	case QueueHeap:
 		e.q = &heapQueue{}
-	case QueueLadder:
-		e.q = newLadderQueue()
 	default:
 		e.q = newCalendarQueue()
 	}

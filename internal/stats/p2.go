@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // P2Quantile is the Jain/Chlamtac P² algorithm: a streaming estimate of a
 // single quantile in O(1) memory, without storing observations. The
 // latency monitor's windowed percentile is exact but O(window); P² offers
@@ -127,72 +125,4 @@ func insertionSort(xs []float64) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// Histogram is a fixed-bin latency histogram for cheap distribution
-// summaries and export.
-type Histogram struct {
-	min, max float64
-	bins     []uint64
-	under    uint64
-	over     uint64
-	count    uint64
-}
-
-// NewHistogram covers [min, max) with n equal bins.
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min || math.IsNaN(min) || math.IsNaN(max) {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{min: min, max: max, bins: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.count++
-	switch {
-	case x < h.min:
-		h.under++
-	case x >= h.max:
-		h.over++
-	default:
-		idx := int((x - h.min) / (h.max - h.min) * float64(len(h.bins)))
-		if idx == len(h.bins) { // boundary rounding
-			idx--
-		}
-		h.bins[idx]++
-	}
-}
-
-// Count returns total observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Quantile returns an estimate of the q-quantile (0..1) by walking bins;
-// clamped to the histogram range. ok is false when empty.
-func (h *Histogram) Quantile(q float64) (float64, bool) {
-	if h.count == 0 {
-		return 0, false
-	}
-	target := q * float64(h.count)
-	acc := float64(h.under)
-	if acc >= target {
-		return h.min, true
-	}
-	width := (h.max - h.min) / float64(len(h.bins))
-	for i, c := range h.bins {
-		next := acc + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - acc) / float64(c)
-			return h.min + width*(float64(i)+frac), true
-		}
-		acc = next
-	}
-	return h.max, true
-}
-
-// Bins returns a copy of the bin counts (plus under/overflow).
-func (h *Histogram) Bins() (bins []uint64, under, over uint64) {
-	out := make([]uint64, len(h.bins))
-	copy(out, h.bins)
-	return out, h.under, h.over
 }

@@ -1,3 +1,11 @@
+// Package trace provides per-request tracing for the simulated server: a
+// flight recorder that taps a server's hooks chain (wrapping whatever
+// power manager is attached) and keeps one decision-attributed span per
+// request — arrival, feature-ready, start and completion plus the
+// frequency decision behind them. Experiments use it for post-hoc
+// analysis, Chrome-trace and CSV export of request-level timelines, and
+// violation audits — the artifacts an operator of the real system would
+// want when debugging a missed QoS target.
 package trace
 
 import (
@@ -19,8 +27,8 @@ type (
 	DecisionSink = server.DecisionSink
 )
 
-// Span is one request's complete, decision-attributed journey: the
-// lifecycle timestamps the flat Recorder journals, plus *why* the request
+// Span is one request's complete, decision-attributed journey: its
+// lifecycle timestamps, plus *why* the request
 // ran the way it did — queue depth at arrival, the chosen frequency level,
 // the binding request that forced Algorithm 1 to that level, the
 // predictor's estimate versus the measured service time, and the internal
@@ -119,7 +127,7 @@ type FlightRecorderConfig struct {
 }
 
 // FlightRecorder is the span-based flight recorder: it taps the server's
-// hooks chain (wrapping the power manager, like Recorder) for lifecycle
+// hooks chain (wrapping the power manager) for lifecycle
 // timestamps and implements DecisionSink for attribution. Completed spans
 // go through tail-sampling into two bounded rings:
 //

@@ -2,20 +2,17 @@ package tune
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"retail/internal/core"
+	"retail/internal/golden"
 	"retail/internal/policy"
 	"retail/internal/sim"
 	"retail/internal/workload"
 )
-
-var updateTuneGolden = flag.Bool("update", false, "rewrite the tune golden file")
 
 // TestSpecCandidates pins the enumeration contract: grid mode walks the
 // cartesian product with the last axis fastest, min/max/steps expand
@@ -247,31 +244,7 @@ func TestTuneGolden(t *testing.T) {
 			res.EnergyJ, w.EnergyJ, res.P99, w.P99, res.Violations, w.Violations)
 	}
 
-	golden := filepath.Join("testdata", "tune_golden.txt")
-	if *updateTuneGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal([]byte(got), want) {
-		gl := strings.Split(got, "\n")
-		wl := strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("tune render diverges from golden at line %d:\n got: %q\nwant: %q\n(run with -update after intentional changes)", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("tune render diverges from golden in length: got %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, filepath.Join("testdata", "tune_golden.txt"), []byte(got))
 }
 
 // TestTuneScoring pins the objective's shape without simulation.

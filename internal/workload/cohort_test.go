@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -418,5 +419,29 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTrace(strings.NewReader(`{"what":1}` + "\n")); err == nil {
 		t.Error("non-trace JSON decoded without error")
+	}
+}
+
+// TestReadTraceHostileRecordCount: the header's record count is input,
+// not a promise. A negative count must be rejected and a huge one must
+// not reserve memory for records the body does not hold; both end in an
+// error, neither in a panic.
+func TestReadTraceHostileRecordCount(t *testing.T) {
+	for _, records := range []string{"-1", "100000000000"} {
+		t.Run(records, func(t *testing.T) {
+			hdr := `{"format":"retail-trace","version":2,"apps":["xapian"],"records":` + records + "}\n"
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadTrace(strings.NewReader(hdr))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("header decoded without error")
+			}
+			// The capped reservation is a few MB; the claimed count
+			// would be terabytes.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				t.Fatalf("decoding a %d-byte header allocated %d bytes", len(hdr), grew)
+			}
+		})
 	}
 }

@@ -43,6 +43,11 @@ const TraceV2Version = 2
 // the schema test can tell a trace from arbitrary JSON.
 const traceMagic = "retail-trace"
 
+// maxTracePrealloc caps how many records ReadTrace reserves from the
+// header's count before reading any: a header cannot claim memory its
+// body does not back. Longer traces grow by append past the cap.
+const maxTracePrealloc = 1 << 17
+
 // TraceProvenance mirrors obs.Provenance field-for-field (workload
 // cannot import obs — obs sits above the server which consumes
 // workload). Callers stamp it from obs.CollectProvenance.
@@ -227,6 +232,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if len(hdr.Apps) == 0 {
 		return nil, fmt.Errorf("workload: trace header has no app table")
 	}
+	if hdr.Records < 0 {
+		return nil, fmt.Errorf("workload: trace header has negative record count %d", hdr.Records)
+	}
 	if hdr.Scales != nil && len(hdr.Scales) != len(hdr.Classes) {
 		return nil, fmt.Errorf("workload: trace header has %d classes but %d scales", len(hdr.Classes), len(hdr.Scales))
 	}
@@ -241,7 +249,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	t.Records = make([]TraceRecord, 0, hdr.Records)
+	t.Records = make([]TraceRecord, 0, min(hdr.Records, maxTracePrealloc))
 	for i := 0; i < hdr.Records; i++ {
 		var rec TraceRecord
 		bits, err := get64()

@@ -6,6 +6,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -43,6 +44,11 @@ var smokeTargets = []struct {
 		"-quick", "-loads", "0.5", "-policies", "retail",
 		"-dispatchers", "round-robin,global-jsq", "-requests", "1200",
 	}},
+	// The open-loop wire generator against its in-process no-op server,
+	// once per schedule source: a lazily drawn Poisson stream, then a
+	// cohort spec pre-drawn into a trace schedule.
+	{"./cmd/retail-loadgen", []string{"-selfhost", "-rps", "2000", "-duration", "300ms"}},
+	{"./cmd/retail-loadgen", []string{"-selfhost", "-spec", "steady-poisson", "-duration", "300ms"}},
 }
 
 func TestSmoke(t *testing.T) {
@@ -50,12 +56,14 @@ func TestSmoke(t *testing.T) {
 		t.Skip("smoke test builds and runs every binary")
 	}
 	bindir := t.TempDir()
-	for _, tgt := range smokeTargets {
+	for i, tgt := range smokeTargets {
 		tgt := tgt
 		name := filepath.Base(tgt.pkg)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			bin := filepath.Join(bindir, name+"-"+filepath.Base(filepath.Dir(tgt.pkg)))
+			// One binary per entry: a package listed twice must not race
+			// two builds onto one path.
+			bin := filepath.Join(bindir, fmt.Sprintf("%s-%d", name, i))
 			build := exec.Command("go", "build", "-o", bin, tgt.pkg)
 			if out, err := build.CombinedOutput(); err != nil {
 				t.Fatalf("go build %s: %v\n%s", tgt.pkg, err, out)
