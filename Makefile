@@ -36,6 +36,9 @@
 #   make golden          rewrite every golden file the *-check targets
 #                        compare against, after an intentional change;
 #                        `git diff` then shows exactly what moved
+#   make gate-list       print the test names each *-check target's -run
+#                        regex selects, so two checkouts' listings show
+#                        whether a gate's test set shrank
 #   make smoke   build-and-run every example and command briefly
 #   make check   build + vet + test (the pre-commit bundle)
 
@@ -56,7 +59,7 @@ GO ?= go
 HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|Sweep|Cluster)'
 HOT_PKGS  = ./internal/sim ./internal/manager ./internal/experiments ./internal/cluster
 
-.PHONY: build test race vet bench bench-check bench-baseline trace-check chaos-check parity-check cluster-check obs-check workload-check tune-check golden smoke check clean
+.PHONY: build test race vet bench bench-check bench-baseline trace-check chaos-check parity-check cluster-check obs-check workload-check tune-check golden gate-list smoke check clean
 
 build:
 	$(GO) build ./...
@@ -86,8 +89,9 @@ bench-baseline:
 # diffable artifacts): a fixed-seed simulation must serialize identically
 # on every run. `make golden` rewrites the committed file after an
 # intentional format change.
+TRACE_TESTS = 'TestChromeTrace(Golden|Deterministic)'
 trace-check:
-	$(GO) test -run 'TestChromeTrace(Golden|Deterministic)' -count=1 ./internal/trace
+	$(GO) test -run $(TRACE_TESTS) -count=1 ./internal/trace
 
 # The fault-injection and graceful-degradation suite (DESIGN.md §9):
 # injector determinism and zero-alloc contracts, DVFS retry/fallback and
@@ -102,17 +106,21 @@ chaos-check:
 # the live adapter's decider must reproduce the decision stream
 # byte-for-byte, including the negative control proving the check can
 # fail. Runs under -race because the live decider is the concurrent one.
+PARITY_TESTS = 'TestReplayParity'
 parity-check:
-	$(GO) test -race -count=1 -run 'TestReplayParity' ./internal/experiments
+	$(GO) test -race -count=1 -run $(PARITY_TESTS) ./internal/experiments
 
 # The cluster layer's determinism gate: dispatcher placement streams,
 # fleet runs and the routing×policy×load sweep table — byte-compared
 # against its golden and SHA-256-pinned at two seeds, plus the
 # -parallel 1 vs 8 byte-identity check.
+CLUSTER_POLICY_TESTS = 'TestDispatcher|TestNewDispatcher|TestRoundRobinDispatch|TestLeastLoadedDispatch|TestGlobalJSQDispatch|TestPowerOfTwoDispatch'
+CLUSTER_FLEET_TESTS  = 'TestRunFleet'
+CLUSTER_SWEEP_TESTS  = 'TestFleetSweep'
 cluster-check:
-	$(GO) test -count=1 -run 'TestDispatcher|TestNewDispatcher|TestRoundRobinDispatch|TestLeastLoadedDispatch|TestGlobalJSQDispatch|TestPowerOfTwoDispatch' ./internal/policy
-	$(GO) test -count=1 -run 'TestRunFleet' ./internal/cluster
-	$(GO) test -count=1 -run 'TestFleetSweep' ./internal/experiments
+	$(GO) test -count=1 -run $(CLUSTER_POLICY_TESTS) ./internal/policy
+	$(GO) test -count=1 -run $(CLUSTER_FLEET_TESTS) ./internal/cluster
+	$(GO) test -count=1 -run $(CLUSTER_SWEEP_TESTS) ./internal/experiments
 
 # The observability plane's gate (DESIGN.md §12): a seeded fleet sweep's
 # canonical report must match the committed golden byte-for-byte
@@ -121,10 +129,15 @@ cluster-check:
 # observer, /metrics and /debug/fleet must survive concurrent scrapes
 # mid-sweep under -race, and the append-only benchmark history must
 # parse against the benchjson baseline schema.
+OBS_LEDGER_TESTS = 'TestFleetReportGolden|TestFleetLedger|TestEnergyByLevelReconciles|TestRetailDecideZeroAllocWithLedger'
+OBS_LEDGER_PKGS  = ./internal/experiments ./internal/cluster ./internal/cpu ./internal/manager
+OBS_SCRAPE_TESTS = 'TestMetricsScrapeDuringFleetSweep'
+OBS_SCHEMA_TESTS = 'TestBenchHistorySchema|TestHistogramHDREquivalence|TestLogLinear'
+OBS_SCHEMA_PKGS  = ./cmd/benchjson ./internal/telemetry ./internal/stats
 obs-check:
-	$(GO) test -count=1 -run 'TestFleetReportGolden|TestFleetLedger|TestEnergyByLevelReconciles|TestRetailDecideZeroAllocWithLedger' ./internal/experiments ./internal/cluster ./internal/cpu ./internal/manager
-	$(GO) test -race -count=1 -run 'TestMetricsScrapeDuringFleetSweep' ./internal/experiments
-	$(GO) test -count=1 -run 'TestBenchHistorySchema|TestHistogramHDREquivalence|TestLogLinear' ./cmd/benchjson ./internal/telemetry ./internal/stats
+	$(GO) test -count=1 -run $(OBS_LEDGER_TESTS) $(OBS_LEDGER_PKGS)
+	$(GO) test -race -count=1 -run $(OBS_SCRAPE_TESTS) ./internal/experiments
+	$(GO) test -count=1 -run $(OBS_SCHEMA_TESTS) $(OBS_SCHEMA_PKGS)
 
 # The ServeGen-class workload gate (DESIGN.md §13): per-arrival-process
 # statistical checks (mean rate, index of dispersion, diurnal phase),
@@ -134,9 +147,11 @@ obs-check:
 # committed golden, plus -parallel 1 vs 8 byte-identity. Every sweep
 # cell internally proves record→replay→re-record byte identity through
 # the simulator and classed decision parity through the live decider.
+WORKLOAD_TESTS       = 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema'
+WORKLOAD_SWEEP_TESTS = 'TestWorkloadSweep'
 workload-check:
-	$(GO) test -count=1 -run 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema' ./internal/workload
-	$(GO) test -count=1 -run 'TestWorkloadSweep' ./internal/experiments
+	$(GO) test -count=1 -run $(WORKLOAD_TESTS) ./internal/workload
+	$(GO) test -count=1 -run $(WORKLOAD_SWEEP_TESTS) ./internal/experiments
 
 # The policy-parameterization and digital-twin gate (DESIGN.md §14):
 # params JSON round-trip bit-equality, strict unknown-field rejection,
@@ -146,9 +161,11 @@ workload-check:
 # winners table byte-compared against its golden — including -parallel
 # 1 vs 8 byte-identity and the exact standalone reproduction of the
 # winner's scored metrics from its emitted params.json.
+TUNE_POLICY_TESTS = 'TestParams|TestMonitorGuardBand|TestQuantileFallback'
+TUNE_TESTS        = 'TestSpec|TestTune'
 tune-check:
-	$(GO) test -count=1 -run 'TestParams|TestMonitorGuardBand|TestQuantileFallback' ./internal/policy
-	$(GO) test -count=1 -run 'TestSpec|TestTune' ./internal/tune
+	$(GO) test -count=1 -run $(TUNE_POLICY_TESTS) ./internal/policy
+	$(GO) test -count=1 -run $(TUNE_TESTS) ./internal/tune
 
 # Every golden-file test compares through internal/golden, whose single
 # -update flag rewrites the file instead. golden reruns exactly those
@@ -156,6 +173,26 @@ tune-check:
 GOLDEN_TESTS = '^(TestChromeTraceGolden|TestChaosSimGolden|TestReplayParity|TestFleetSweepGolden|TestFleetSweepMultiSeedSHA|TestFleetReportGolden|TestWorkloadSweepGolden|TestTuneGolden)$$'
 golden:
 	$(GO) test -count=1 -run $(GOLDEN_TESTS) ./internal/trace ./internal/experiments ./internal/tune -update
+
+# gate-list prints, per *-check target, the tests each of its -run
+# regexes selects (go test -list; the regexes are the variables the
+# targets run). Diff two checkouts' listings to show no gate lost a test.
+LIST = $(GO) test -list
+TAG  = awk '/^Test/ { t[n++] = $$0 } /^ok/ { for (i = 0; i < n; i++) print $$2 ": " t[i]; n = 0 }'
+gate-list:
+	@echo '# trace-check';    $(LIST) $(TRACE_TESTS) ./internal/trace | $(TAG)
+	@echo '# chaos-check';    $(LIST) $(CHAOS_TESTS) ./internal/fault ./internal/live ./internal/experiments | $(TAG)
+	@echo '# parity-check';   $(LIST) $(PARITY_TESTS) ./internal/experiments | $(TAG)
+	@echo '# cluster-check';  $(LIST) $(CLUSTER_POLICY_TESTS) ./internal/policy | $(TAG)
+	@$(LIST) $(CLUSTER_FLEET_TESTS) ./internal/cluster | $(TAG)
+	@$(LIST) $(CLUSTER_SWEEP_TESTS) ./internal/experiments | $(TAG)
+	@echo '# obs-check';      $(LIST) $(OBS_LEDGER_TESTS) $(OBS_LEDGER_PKGS) | $(TAG)
+	@$(LIST) $(OBS_SCRAPE_TESTS) ./internal/experiments | $(TAG)
+	@$(LIST) $(OBS_SCHEMA_TESTS) $(OBS_SCHEMA_PKGS) | $(TAG)
+	@echo '# workload-check'; $(LIST) $(WORKLOAD_TESTS) ./internal/workload | $(TAG)
+	@$(LIST) $(WORKLOAD_SWEEP_TESTS) ./internal/experiments | $(TAG)
+	@echo '# tune-check';     $(LIST) $(TUNE_POLICY_TESTS) ./internal/policy | $(TAG)
+	@$(LIST) $(TUNE_TESTS) ./internal/tune | $(TAG)
 
 smoke:
 	$(GO) test -run TestSmoke -v .

@@ -14,33 +14,34 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"retail/internal/cli"
 	"retail/internal/experiments"
 	"retail/internal/fault"
-	"retail/internal/policy"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
 
 func main() {
 	var (
-		planName   = flag.String("plan", "overload-burst", "fault plan to replay (see -list)")
-		list       = flag.Bool("list", false, "list the built-in fault plans and exit")
-		simAll     = flag.Bool("sim", false, "run the deterministic simulator chaos matrix instead of the live runtime")
-		bursty     = flag.Bool("bursty", false, "with -sim: drive arrivals from the overload-mmpp cohort spec (correlated bursts)")
-		appName    = flag.String("app", "moses", "application model")
-		workers    = flag.Int("workers", 2, "live worker goroutines")
-		rps        = flag.Float64("rps", 60, "live client request rate (wall clock)")
-		seconds    = flag.Float64("seconds", 10, "scenario length on the canonical plan clock")
-		scale      = flag.Float64("scale", 0.2, "time compression: wall seconds per canonical second")
-		samples    = flag.Int("samples", 300, "calibration samples per frequency level")
-		seed       = flag.Int64("seed", 42, "seed for calibration, injection and load")
-		metrics    = flag.Bool("metrics", false, "print the final Prometheus scrape after the run")
-		paramsPath = flag.String("params", "", "serializable policy params JSON (empty = historical defaults)")
+		planName = flag.String("plan", "overload-burst", "fault plan to replay (see -list)")
+		list     = flag.Bool("list", false, "list the built-in fault plans and exit")
+		simAll   = flag.Bool("sim", false, "run the deterministic simulator chaos matrix instead of the live runtime")
+		bursty   = flag.Bool("bursty", false, "with -sim: drive arrivals from the overload-mmpp cohort spec (correlated bursts)")
+		appName  = flag.String("app", "moses", "application model")
+		workers  = flag.Int("workers", 2, "live worker goroutines")
+		rps      = flag.Float64("rps", 60, "live client request rate (wall clock)")
+		seconds  = flag.Float64("seconds", 10, "scenario length on the canonical plan clock")
+		scale    = flag.Float64("scale", 0.2, "time compression: wall seconds per canonical second")
+		samples  = flag.Int("samples", 300, "calibration samples per frequency level")
+		seed     = flag.Int64("seed", 42, "seed for calibration, injection and load")
+		metrics  = flag.Bool("metrics", false, "print the final Prometheus scrape after the run")
 	)
+	in := cli.Declare("retail-chaos", flag.CommandLine, cli.Params)
 	flag.Parse()
 
 	if *list {
@@ -50,11 +51,7 @@ func main() {
 		return
 	}
 
-	params, err := policy.LoadParams(*paramsPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "retail-chaos: %v\n", err)
-		os.Exit(2)
-	}
+	params := in.MustLoad().Params
 
 	if *simAll {
 		cfg := experiments.Quick()
@@ -73,19 +70,16 @@ func main() {
 		return
 	}
 	if *bursty {
-		fmt.Fprintln(os.Stderr, "retail-chaos: -bursty requires -sim")
-		os.Exit(2)
+		in.Fail(errors.New("-bursty requires -sim"))
 	}
 
 	plan, err := fault.PlanByName(*planName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "retail-chaos: %v\n", err)
-		os.Exit(2)
+		in.Fail(err)
 	}
 	app := workload.ByName(*appName)
 	if app == nil {
-		fmt.Fprintf(os.Stderr, "retail-chaos: unknown -app %q\n", *appName)
-		os.Exit(2)
+		in.Fail(fmt.Errorf("unknown -app %q", *appName))
 	}
 	reg := telemetry.NewRegistry()
 	rep, err := experiments.RunLiveChaos(experiments.LiveChaosConfig{

@@ -27,12 +27,12 @@ import (
 	"strconv"
 	"strings"
 
+	"retail/internal/cli"
 	"retail/internal/cluster"
 	"retail/internal/core"
 	"retail/internal/experiments"
 	"retail/internal/nn"
 	"retail/internal/obs"
-	"retail/internal/policy"
 	"retail/internal/sim"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
@@ -40,14 +40,13 @@ import (
 
 func main() {
 	var (
-		app         = flag.String("app", "xapian", "application every node serves")
 		nodes       = flag.Int("nodes", 100, "fleet size (nodes per cell)")
 		workers     = flag.Int("workers", 4, "cores per node")
 		dispatchers = flag.String("dispatchers", "", "comma-separated routing rules (default: all four)")
 		policies    = flag.String("policies", "", "comma-separated per-node DVFS policies (default: retail,rubik,gemini,eetl)")
 		loads       = flag.String("loads", "0.6", "comma-separated load fractions of fleet max")
 		requests    = flag.Int("requests", 70000, "offered requests per sweep cell")
-		quick       = flag.Bool("quick", false, "CI-sized fleet (4 nodes, small calibration)")
+		quick       = flag.Bool("quick", false, "CI-sized fleet: small calibration; 4 nodes, 2 workers and 2500 requests unless -nodes/-workers/-requests are set")
 		parallel    = flag.Int("parallel", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = sequential); results are byte-identical at any setting")
 		seed        = flag.Int64("seed", 42, "root seed")
 		perNode     = flag.Bool("per-node", false, "print per-node tables for every cell")
@@ -55,19 +54,13 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "file for a telemetry snapshot of the last cell re-run with per-node series")
 		tiers       = flag.String("tiers", "", "comma-separated apps: print the multi-tier budget allocation report instead of sweeping")
 		samples     = flag.Int("budget-samples", 0, "profiling draw per tier for -tiers (0 = allocator default)")
-		report      = flag.String("report", "", "file for the versioned obs run report (attaches per-node energy×QoS ledgers and a telemetry registry to every cell)")
-		specName    = flag.String("spec", "", "cohort workload spec driving every cell: a builtin name ("+strings.Join(workload.BuiltinSpecNames(), ", ")+") or a JSON file")
-		recordPath  = flag.String("record", "", "record the single cell's pre-routing stream to this v2 trace file (requires -spec and a 1×1×1 sweep)")
-		replayPath  = flag.String("replay", "", "replay a recorded v2 trace through the single cell instead of generating load (excludes -spec/-record)")
-		paramsPath  = flag.String("params", "", "serializable policy params JSON applied to every node (empty = historical defaults)")
 	)
+	// -params applies to every node; -record and -replay need a 1×1×1
+	// sweep; -report attaches per-node energy×QoS ledgers and a telemetry
+	// registry to every cell.
+	in := cli.Declare("retail-cluster", flag.CommandLine, cli.Workload|cli.Params|cli.Report)
 	flag.Parse()
-
-	params, err := policy.LoadParams(*paramsPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-		os.Exit(2)
-	}
+	run := in.MustLoad()
 
 	if *tiers != "" {
 		if err := budgetReport(strings.Split(*tiers, ","), *samples, *seed); err != nil {
@@ -77,53 +70,26 @@ func main() {
 		return
 	}
 
-	// Validate the workload flag combinations before any calibration work.
-	if *specName != "" && *replayPath != "" {
-		fmt.Fprintln(os.Stderr, "retail-cluster: -spec and -replay are mutually exclusive")
-		os.Exit(1)
-	}
-	if *recordPath != "" && *specName == "" {
-		fmt.Fprintln(os.Stderr, "retail-cluster: -record requires -spec (only generated streams are recorded)")
-		os.Exit(1)
-	}
-	var spec *workload.Spec
-	var replayTrace *workload.Trace
-	if *specName != "" {
-		var err error
-		spec, err = workload.LoadSpec(*specName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
-		}
-	}
-	if *replayPath != "" {
-		var err error
-		replayTrace, err = workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
-		}
-	}
-
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
 	}
 	cfg.Seed = *seed
 	cfg.Parallel = *parallel
-	cfg.Params = params
+	cfg.Params = run.Params
 
 	opt := experiments.FleetOptions{
-		App:             *app,
+		App:             run.App.Name(),
 		Nodes:           *nodes,
 		WorkersPerNode:  *workers,
 		Loads:           splitFloats(*loads),
 		RequestsPerCell: *requests,
+		Spec:            run.Spec,
+		Record:          in.RecordPath != "",
+		Replay:          run.Replay,
 	}
 	if *quick {
-		opt.Nodes = 4
-		opt.WorkersPerNode = 2
-		opt.RequestsPerCell = 2500
+		applyQuick(&opt, in.Given)
 	}
 	if *dispatchers != "" {
 		opt.Dispatchers = strings.Split(*dispatchers, ",")
@@ -131,11 +97,8 @@ func main() {
 	if *policies != "" {
 		opt.Policies = strings.Split(*policies, ",")
 	}
-	opt.Spec = spec
-	opt.Record = *recordPath != ""
-	opt.Replay = replayTrace
 	var reg *telemetry.Registry
-	if *report != "" {
+	if in.ReportPath != "" {
 		// A report wants full attribution: ledgers on every node and a
 		// registry for the fleet roll-up.
 		opt.Ledger = true
@@ -151,21 +114,11 @@ func main() {
 	fmt.Print(res.Render())
 
 	if res.Recorded != nil {
-		p := obs.CollectProvenance()
-		res.Recorded.Header.Provenance = workload.TraceProvenance{
-			GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-			CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-		}
-		if err := res.Recorded.WriteFile(*recordPath); err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
-		}
-		sha, err := res.Recorded.SHA()
+		sha, err := in.WriteRecording(res.Recorded)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
-			os.Exit(1)
+			in.Fail(err)
 		}
-		fmt.Printf("\nrecorded %s (%d records, sha256 %s)\n", *recordPath, len(res.Recorded.Records), sha)
+		fmt.Printf("\nrecorded %s (%d records, sha256 %s)\n", in.RecordPath, len(res.Recorded.Records), sha)
 	}
 	if *perNode {
 		for _, c := range res.Cells {
@@ -198,13 +151,27 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *metricsOut)
 	}
-	if *report != "" {
+	if in.ReportPath != "" {
 		rep := res.Report(*seed, obs.RollupRegistry(reg))
-		if err := rep.WriteFile(*report); err != nil {
+		if err := rep.WriteFile(in.ReportPath); err != nil {
 			fmt.Fprintln(os.Stderr, "retail-cluster:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (report v%d, config %s)\n", *report, rep.Version, rep.ConfigHash)
+		fmt.Printf("wrote %s (report v%d, config %s)\n", in.ReportPath, rep.Version, rep.ConfigHash)
+	}
+}
+
+// applyQuick sizes opt for a CI run, keeping every size flag the user
+// set explicitly.
+func applyQuick(opt *experiments.FleetOptions, given func(flag string) bool) {
+	if !given("nodes") {
+		opt.Nodes = 4
+	}
+	if !given("workers") {
+		opt.WorkersPerNode = 2
+	}
+	if !given("requests") {
+		opt.RequestsPerCell = 2500
 	}
 }
 

@@ -28,12 +28,12 @@ import (
 	"strings"
 	"time"
 
+	"retail/internal/cli"
 	"retail/internal/core"
 	"retail/internal/cpu"
 	"retail/internal/fault"
 	"retail/internal/live"
 	"retail/internal/obs"
-	"retail/internal/policy"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
@@ -52,8 +52,8 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (e.g. :9090)")
 		faultPlan   = flag.String("fault-plan", "", "replay a named fault plan against the runtime (see retail-chaos -list)")
 		policyName  = flag.String("policy", "retail", "frequency policy: retail, rubik, gemini or eetl")
-		paramsPath  = flag.String("params", "", "serializable policy params JSON (empty = historical defaults)")
 	)
+	in := cli.Declare("retail-live", flag.CommandLine, cli.Params)
 	flag.Parse()
 
 	app := workload.ByName(*appName)
@@ -63,11 +63,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	params, err := policy.LoadParams(*paramsPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "retail-live: %v\n", err)
-		os.Exit(2)
-	}
+	params := in.MustLoad().Params
 
 	platform := core.DefaultPlatform().WithWorkers(*workers)
 	log.Printf("calibrating %s …", app.Name())

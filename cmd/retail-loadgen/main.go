@@ -26,9 +26,9 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
+	"retail/internal/cli"
 	"retail/internal/cpu"
 	"retail/internal/live"
 	"retail/internal/obs"
@@ -41,87 +41,33 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		addr       = flag.String("addr", "", "server address (omit with -selfhost)")
-		appName    = flag.String("app", "xapian", "application model supplying the feature distribution")
-		rps        = flag.Float64("rps", 1000, "aggregate offered request rate")
-		conns      = flag.Int("conns", 8, "client connections (rate splits evenly)")
-		duration   = flag.Duration("duration", 5*time.Second, "send window")
-		drain      = flag.Duration("drain", 2*time.Second, "wait for in-flight responses after the window")
-		seed       = flag.Int64("seed", 1, "generator seed")
-		selfhost   = flag.Bool("selfhost", false, "start an in-process no-op server and load it over loopback")
-		report     = flag.String("report", "", "file for the versioned obs run report")
-		specName   = flag.String("spec", "", "cohort workload spec: a builtin name ("+strings.Join(workload.BuiltinSpecNames(), ", ")+") or a JSON file; pre-draws the wire schedule")
-		recordPath = flag.String("record", "", "write the pre-drawn schedule to this v2 trace file (requires -spec)")
-		replayPath = flag.String("replay", "", "send a recorded v2 trace's schedule instead of generating one (excludes -spec/-record)")
+		addr     = flag.String("addr", "", "server address (omit with -selfhost)")
+		rps      = flag.Float64("rps", 1000, "aggregate offered request rate")
+		conns    = flag.Int("conns", 8, "client connections (rate splits evenly)")
+		duration = flag.Duration("duration", 5*time.Second, "send window")
+		drain    = flag.Duration("drain", 2*time.Second, "wait for in-flight responses after the window")
+		seed     = flag.Int64("seed", 1, "generator seed")
+		selfhost = flag.Bool("selfhost", false, "start an in-process no-op server and load it over loopback")
 	)
+	in := cli.Declare("retail-loadgen", flag.CommandLine, cli.Workload|cli.Report)
 	flag.Parse()
 
-	// Validate the -spec/-record/-replay combinations and load their
-	// inputs before any listener binds or connection dials, so a bad
-	// invocation never touches the network.
-	if *specName != "" && *replayPath != "" {
-		log.Fatal("-spec and -replay are mutually exclusive")
-	}
-	if *recordPath != "" && *specName == "" {
-		log.Fatal("-record requires -spec (only generated schedules are recorded)")
-	}
-	var appSet, rpsSet bool
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "app":
-			appSet = true
-		case "rps":
-			rpsSet = true
-		}
-	})
-	var trace *workload.Trace
-	switch {
-	case *specName != "":
-		spec, err := workload.LoadSpec(*specName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		specApp, err := spec.SingleApp()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if appSet && specApp.Name() != *appName {
-			log.Fatalf("-spec %q targets app %q but -app is %q", *specName, specApp.Name(), *appName)
-		}
-		*appName = specApp.Name()
-		if rpsSet {
+	// Load the run inputs before any listener binds or connection dials,
+	// so a bad invocation never touches the network. -spec pre-draws the
+	// wire schedule; -replay sends a recorded one.
+	run := in.MustLoad()
+	app, trace := run.App, run.Replay
+	if run.Spec != nil {
+		spec := run.Spec
+		if in.Given("rps") {
 			// An explicit -rps rescales the cohort mix to that aggregate;
 			// otherwise the spec runs at its own rates.
 			spec = spec.ScaledTo(*rps)
 		}
 		trace = workload.RecordTrace(spec, *seed, sim.Duration(duration.Seconds()))
 		if len(trace.Records) == 0 {
-			log.Fatalf("-spec %q produced no arrivals in %v", *specName, *duration)
+			in.Fail(fmt.Errorf("-spec %q produced no arrivals in %v", in.SpecName, *duration))
 		}
-	case *replayPath != "":
-		var err error
-		trace, err = workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(trace.Records) == 0 {
-			log.Fatalf("-replay trace %q has no records", *replayPath)
-		}
-		apps := trace.Header.Apps
-		if len(apps) != 1 {
-			log.Fatalf("replay trace covers apps %v; the loadgen needs exactly one", apps)
-		}
-		if appSet && apps[0] != *appName {
-			log.Fatalf("-replay trace is for app %q but -app is %q", apps[0], *appName)
-		}
-		*appName = apps[0]
-	}
-
-	app := workload.ByName(*appName)
-	if app == nil {
-		log.Printf("unknown -app %q (try xapian, moses, …)", *appName)
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	target := *addr
@@ -152,20 +98,12 @@ func main() {
 	}
 
 	if trace != nil {
-		if *recordPath != "" {
-			p := obs.CollectProvenance()
-			trace.Header.Provenance = workload.TraceProvenance{
-				GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-				CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-			}
-			if err := trace.WriteFile(*recordPath); err != nil {
-				log.Fatal(err)
-			}
-			sha, err := trace.SHA()
+		if in.RecordPath != "" {
+			sha, err := in.WriteRecording(trace)
 			if err != nil {
-				log.Fatal(err)
+				in.Fail(err)
 			}
-			log.Printf("recorded %s (%d records, sha256 %s)", *recordPath, len(trace.Records), sha)
+			log.Printf("recorded %s (%d records, sha256 %s)", in.RecordPath, len(trace.Records), sha)
 		}
 		span := time.Duration(trace.Records[len(trace.Records)-1].ArrivalNs())
 		log.Printf("trace-scheduled %s: %d records over %v via %d conns",
@@ -182,7 +120,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res.Report())
-	if *report == "" {
+	if in.ReportPath == "" {
 		return
 	}
 
@@ -198,10 +136,10 @@ func main() {
 	}
 	rep := obs.NewReport("loadgen", *seed, configHash)
 	rep.Loadgen = loadgenReport(res, app, target, *conns, window)
-	if err := rep.WriteFile(*report); err != nil {
+	if err := rep.WriteFile(in.ReportPath); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("report      %s (v%d, config %s)\n", *report, rep.Version, rep.ConfigHash)
+	fmt.Printf("report      %s (v%d, config %s)\n", in.ReportPath, rep.Version, rep.ConfigHash)
 }
 
 // loadgenReport renders a run as the obs report payload: overall HDR

@@ -17,14 +17,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
+	"retail/internal/cli"
 	"retail/internal/core"
-	"retail/internal/experiments"
 	"retail/internal/manager"
 	"retail/internal/nn"
 	"retail/internal/obs"
-	"retail/internal/policy"
 	"retail/internal/server"
 	"retail/internal/sim"
 	"retail/internal/telemetry"
@@ -34,90 +32,33 @@ import (
 
 func main() {
 	var (
-		appName    = flag.String("app", "xapian", "application: "+strings.Join(experiments.AppNames(), ", "))
-		mgrName    = flag.String("manager", "retail", "power manager: retail, rubik, gemini, adrenaline, eetl, pegasus, maxfreq")
-		load       = flag.Float64("load", 0.7, "load as a fraction of calibrated max load")
-		rps        = flag.Float64("rps", 0, "absolute request rate (overrides -load)")
-		workers    = flag.Int("workers", 20, "worker cores")
-		duration   = flag.Float64("duration", 0, "measured seconds (0 = auto)")
-		seed       = flag.Int64("seed", 7, "simulation seed")
-		samples    = flag.Int("samples", 1000, "calibration samples per frequency level")
-		quickNN    = flag.Bool("quick-nn", true, "use a small NN for gemini instead of the 5×128")
-		paramsPath = flag.String("params", "", "serializable policy params JSON (empty = historical defaults)")
-
-		specName   = flag.String("spec", "", "cohort workload spec: a builtin name ("+strings.Join(workload.BuiltinSpecNames(), ", ")+") or a JSON file")
-		recordPath = flag.String("record", "", "record the generated request stream to this v2 trace file (requires -spec)")
-		replayPath = flag.String("replay", "", "replay a recorded v2 trace instead of generating load (excludes -spec/-record)")
+		mgrName  = flag.String("manager", "retail", "power manager: retail, rubik, gemini, adrenaline, eetl, pegasus, maxfreq")
+		load     = flag.Float64("load", 0.7, "load as a fraction of calibrated max load")
+		rps      = flag.Float64("rps", 0, "absolute request rate (overrides -load)")
+		workers  = flag.Int("workers", 20, "worker cores")
+		duration = flag.Float64("duration", 0, "measured seconds (0 = auto)")
+		seed     = flag.Int64("seed", 7, "simulation seed")
+		samples  = flag.Int("samples", 1000, "calibration samples per frequency level")
+		quickNN  = flag.Bool("quick-nn", true, "use a small NN for gemini instead of the 5×128")
 
 		tracePath  = flag.String("trace", "", "write a request trace to this file (span flight recorder)")
 		traceFmt   = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-viewable JSON) or csv")
 		traceCap   = flag.Int("trace-cap", 0, "flight-recorder ring capacity per class (0 = default 4096)")
 		traceEvery = flag.Int("trace-sample", 1, "keep 1 of every N ordinary spans (violations/drops/p99 always kept)")
 		metrics    = flag.Bool("metrics", false, "attach the telemetry registry and print a Prometheus text summary after the run")
-		reportPath = flag.String("report", "", "file for the versioned obs run report (attaches the energy×QoS attribution ledger)")
 	)
+	in := cli.Declare("retail-sim", flag.CommandLine, cli.Workload|cli.Params|cli.Report)
 	flag.Parse()
 
-	appSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "app" {
-			appSet = true
-		}
-	})
-	// A workload source (spec or replay trace) names its own app; it
-	// overrides the -app default and must agree with an explicit -app.
-	var spec *workload.Spec
-	var replayTrace *workload.Trace
-	if err := validateWorkloadFlags(*specName, *recordPath, *replayPath); err != nil {
-		fmt.Fprintf(os.Stderr, "retail-sim: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	switch {
-	case *specName != "":
-		var err error
-		spec, err = workload.LoadSpec(*specName)
-		if err != nil {
-			log.Fatalf("retail-sim: %v", err)
-		}
-		specApp, err := spec.SingleApp()
-		if err != nil {
-			log.Fatalf("retail-sim: %v", err)
-		}
-		if appSet && specApp.Name() != *appName {
-			log.Fatalf("retail-sim: -spec %q targets app %q but -app is %q", *specName, specApp.Name(), *appName)
-		}
-		*appName = specApp.Name()
-	case *replayPath != "":
-		var err error
-		replayTrace, err = workload.ReadTraceFile(*replayPath)
-		if err != nil {
-			log.Fatalf("retail-sim: %v", err)
-		}
-		if len(replayTrace.Records) == 0 {
-			log.Fatalf("retail-sim: -replay trace %q has no records", *replayPath)
-		}
-		apps := replayTrace.Header.Apps
-		if len(apps) != 1 {
-			log.Fatalf("retail-sim: replay trace covers apps %v; single-node replay needs exactly one", apps)
-		}
-		if appSet && apps[0] != *appName {
-			log.Fatalf("retail-sim: -replay trace is for app %q but -app is %q", apps[0], *appName)
-		}
-		*appName = apps[0]
-	}
-	app := workload.ByName(*appName)
-	if err := validateFlags(app, *appName, *load, *rps, *workers, *duration, *samples,
+	// Load the run inputs and check the flags before any calibration work
+	// so a bad invocation fails fast; -report attaches the energy×QoS
+	// attribution ledger.
+	run := in.MustLoad()
+	app, spec, params := run.App, run.Spec, run.Params
+	if err := validateFlags(*load, *rps, *workers, *duration, *samples,
 		*tracePath, *traceFmt, *traceCap, *traceEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "retail-sim: %v\n", err)
 		flag.Usage()
-		os.Exit(2)
-	}
-	// Load and validate the policy params before any calibration work so a
-	// malformed file fails fast; the zero value keeps historical behavior.
-	params, err := policy.LoadParams(*paramsPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "retail-sim: %v\n", err)
 		os.Exit(2)
 	}
 	platform := core.DefaultPlatform().WithWorkers(*workers)
@@ -161,11 +102,11 @@ func main() {
 		dur = core.RecommendedDuration(app, rate)
 	}
 	warmup := dur / 5
-	if replayTrace != nil && *duration <= 0 {
+	if run.Replay != nil && *duration <= 0 {
 		// Reproduce the recording's horizon: a stream recorded over
 		// warmup+duration = 1.2×duration spans that window, so split the
 		// trace's span 1:5 the same way.
-		span := sim.Duration(replayTrace.Records[len(replayTrace.Records)-1].Arrival)
+		span := sim.Duration(run.Replay.Records[len(run.Replay.Records)-1].Arrival)
 		warmup = span / 6
 		dur = span - warmup
 	}
@@ -191,7 +132,7 @@ func main() {
 		if flight != nil {
 			flight.Attach(s)
 		}
-		if *reportPath != "" {
+		if in.ReportPath != "" {
 			led = obs.AttachLedger(s, app.QoS())
 			// Reset in the same virtual instant core.Run resets energy, so
 			// ledger counts and socket joules share the measurement epoch.
@@ -228,12 +169,12 @@ func main() {
 	}
 	var recTrace *workload.Trace
 	switch {
-	case replayTrace != nil:
-		runCfg.Replay, runCfg.RPS = replayTrace, 0
+	case run.Replay != nil:
+		runCfg.Replay, runCfg.RPS = run.Replay, 0
 	case spec != nil:
 		// The spec is pre-scaled to rate; RPS 0 runs it as-is.
 		runCfg.Spec, runCfg.RPS = spec, 0
-		if *recordPath != "" {
+		if in.RecordPath != "" {
 			recTrace = workload.NewTrace(spec, *seed)
 			runCfg.Record = recTrace
 		}
@@ -243,19 +184,11 @@ func main() {
 		log.Fatal(err)
 	}
 	if recTrace != nil {
-		p := obs.CollectProvenance()
-		recTrace.Header.Provenance = workload.TraceProvenance{
-			GoVersion: p.GoVersion, GoOS: p.GoOS, GoArch: p.GoArch,
-			CPU: p.CPU, Commit: p.Commit, Time: p.Time,
-		}
-		if err := recTrace.WriteFile(*recordPath); err != nil {
-			log.Fatal(err)
-		}
-		sha, err := recTrace.SHA()
+		sha, err := in.WriteRecording(recTrace)
 		if err != nil {
-			log.Fatal(err)
+			in.Fail(err)
 		}
-		fmt.Printf("recorded     %s (%d records, sha256 %s)\n", *recordPath, len(recTrace.Records), sha)
+		fmt.Printf("recorded     %s (%d records, sha256 %s)\n", in.RecordPath, len(recTrace.Records), sha)
 	}
 
 	verdict := "MET"
@@ -302,7 +235,7 @@ transitions  %d frequency changes
 			log.Fatal(err)
 		}
 	}
-	if *reportPath != "" {
+	if in.ReportPath != "" {
 		end := warmup + dur
 		ns := led.Summary(res.App, 0, srvRef.Socket.EnergyByLevel(end), srvRef.Socket.UncoreJoules(end))
 		rep := obs.NewReport("sim", *seed, obs.HashConfig("sim", res.App, res.Manager,
@@ -327,10 +260,10 @@ transitions  %d frequency changes
 				QoSMet: cr.QoSMet,
 			})
 		}
-		if err := rep.WriteFile(*reportPath); err != nil {
+		if err := rep.WriteFile(in.ReportPath); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("report       %s (v%d, config %s)\n", *reportPath, rep.Version, rep.ConfigHash)
+		fmt.Printf("report       %s (v%d, config %s)\n", in.ReportPath, rep.Version, rep.ConfigHash)
 	}
 }
 
@@ -352,25 +285,10 @@ func writeTrace(fr *trace.FlightRecorder, path, format string) error {
 	return err
 }
 
-// validateWorkloadFlags checks the -spec/-record/-replay combinations
-// before any file or calibration work happens.
-func validateWorkloadFlags(spec, record, replay string) error {
-	if spec != "" && replay != "" {
-		return fmt.Errorf("-spec and -replay are mutually exclusive")
-	}
-	if record != "" && spec == "" {
-		return fmt.Errorf("-record requires -spec (only generated streams are recorded)")
-	}
-	return nil
-}
-
 // validateFlags checks flag combinations up front so misconfiguration
 // produces a usable error instead of a mid-run failure, mirroring
 // retail-live's validateFlags.
-func validateFlags(app workload.App, appName string, load, rps float64, workers int, duration float64, samples int, tracePath, traceFmt string, traceCap, traceEvery int) error {
-	if app == nil {
-		return fmt.Errorf("unknown -app %q (known: %s)", appName, strings.Join(experiments.AppNames(), ", "))
-	}
+func validateFlags(load, rps float64, workers int, duration float64, samples int, tracePath, traceFmt string, traceCap, traceEvery int) error {
 	if rps < 0 {
 		return fmt.Errorf("-rps must be non-negative, got %g", rps)
 	}

@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"os"
 
+	"retail/internal/cli"
 	"retail/internal/nn"
 	"retail/internal/tune"
-	"retail/internal/workload"
 )
 
 func main() {
@@ -38,9 +38,9 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "concurrent candidate replays (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at any setting")
 		quickNN    = flag.Bool("quick-nn", true, "use a small NN when tuning gemini instead of the 5×128")
 		outPath    = flag.String("out", "", "file for the winning params.json")
-		reportPath = flag.String("report", "", "file for the versioned obs tune report")
 		fields     = flag.Bool("fields", false, "list the tunable field paths and exit")
 	)
+	in := cli.Declare("retail-tune", flag.CommandLine, cli.Report)
 	flag.Parse()
 
 	if *fields {
@@ -57,13 +57,11 @@ func main() {
 
 	spec, err := tune.LoadSpec(*searchPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "retail-tune: %v\n", err)
-		os.Exit(2)
+		in.Fail(err)
 	}
-	trace, err := workload.ReadTraceFile(*tracePath)
+	trace, err := cli.ReadTrace(*tracePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "retail-tune: %v\n", err)
-		os.Exit(2)
+		in.Fail(err)
 	}
 
 	var nnCfg *nn.Config
@@ -95,12 +93,12 @@ func main() {
 		}
 		fmt.Printf("wrote %s (params %s)\n", *outPath, res.Winner().ParamsSHA)
 	}
-	if *reportPath != "" {
+	if in.ReportPath != "" {
 		rep := res.Report(*seed)
-		if err := rep.WriteFile(*reportPath); err != nil {
+		if err := rep.WriteFile(in.ReportPath); err != nil {
 			fmt.Fprintf(os.Stderr, "retail-tune: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (report v%d, config %s)\n", *reportPath, rep.Version, rep.ConfigHash)
+		fmt.Printf("wrote %s (report v%d, config %s)\n", in.ReportPath, rep.Version, rep.ConfigHash)
 	}
 }

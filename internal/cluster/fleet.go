@@ -328,7 +328,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if cfg.Registry != nil {
 			labels := append(append([]telemetry.Label{},
 				cfg.Labels...), telemetry.L("node", strconv.Itoa(i)))
-			server.AttachTelemetryWith(n.srv, cfg.Registry, app.Name(), qos, labels...)
+			server.AttachTelemetry(n.srv, cfg.Registry, app.Name(), qos, labels...)
 		}
 		if cfg.Ledger {
 			led := obs.AttachLedger(n.srv, qos)

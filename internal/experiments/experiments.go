@@ -140,12 +140,3 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func dur(v float64) string { return sim.Time(v).String() }
-
-// AppNames lists the seven applications in the paper's order.
-func AppNames() []string {
-	names := make([]string, 0, 7)
-	for _, a := range workload.All() {
-		names = append(names, a.Name())
-	}
-	return names
-}

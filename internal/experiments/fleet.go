@@ -141,11 +141,11 @@ func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 		}
 		opt.App = sa.Name()
 	case opt.Replay != nil:
-		apps := opt.Replay.Header.Apps
-		if len(apps) != 1 || len(opt.Replay.Records) == 0 {
-			return nil, fmt.Errorf("experiments: replay trace needs exactly one app and at least one record")
+		ra, err := opt.Replay.SingleApp()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		opt.App = apps[0]
+		opt.App = ra.Name()
 	case opt.Record:
 		return nil, fmt.Errorf("experiments: Record requires Spec")
 	}

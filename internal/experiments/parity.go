@@ -217,6 +217,19 @@ func (t parityTimer) AfterFunc(d policy.Duration, name string, fn func(now polic
 	t.e.After(sim.Duration(d), name, func(en *sim.Engine) { fn(float64(en.Now())) })
 }
 
+// recordPolicyTrace is the core.RunConfig instrument of every recording
+// run: it taps each decision input into tr and appends a tick event on
+// the manager's monitor cadence.
+func recordPolicyTrace(app workload.App, tr *policy.Trace) func(*sim.Engine, *server.Server) {
+	interval := float64(manager.DefaultReTailConfig().MonitorInterval)
+	return func(e *sim.Engine, srv *server.Server) {
+		srv.Hooks = &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: tr}
+		policy.RunMonitor(parityTimer{e}, interval, "parity.tick", func(now policy.Time) {
+			tr.Events = append(tr.Events, policy.TraceEvent{Kind: policy.TickEvent, At: now})
+		})
+	}
+}
+
 // RunParity executes one simulated ReTail run with the trace recorder
 // attached, replays the trace through the live adapter, and returns both
 // decision streams.
@@ -254,14 +267,7 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		return nil, fmt.Errorf("parity: calibrate: %w", err)
 	}
 
-	// Frozen predictor: Training nil disables drift-triggered retraining,
-	// so the model replayed later is bit-identical to the one recorded.
-	mcfg := manager.DefaultReTailConfig()
-	mcfg.Layout = cal.Layout
-	mcfg.Model = cal.Model
-	mcfg.Training = nil
-	m := manager.NewReTail(app.QoS(), mcfg)
-
+	m := frozenReTail(cal, app)
 	log := &decisionLog{}
 	m.SetDecisionSink(log)
 
@@ -269,26 +275,23 @@ func RunParity(cfg ParityConfig) (*ParityResult, error) {
 		Features: map[uint64][]float64{},
 		Gens:     map[uint64]policy.Time{},
 	}
-	ticks := 0
 	_, err = core.Run(core.RunConfig{
-		App:      app,
-		Platform: platform,
-		Manager:  m,
-		RPS:      cfg.RPS,
-		Duration: sim.Duration(cfg.Duration),
-		Seed:     cfg.Seed,
-		Instrument: func(e *sim.Engine, srv *server.Server) {
-			rec := &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: tr}
-			srv.Hooks = rec
-			policy.RunMonitor(parityTimer{e}, float64(mcfg.MonitorInterval), "parity.tick",
-				func(now policy.Time) {
-					ticks++
-					rec.tr.Events = append(rec.tr.Events, policy.TraceEvent{Kind: policy.TickEvent, At: now})
-				})
-		},
+		App:        app,
+		Platform:   platform,
+		Manager:    m,
+		RPS:        cfg.RPS,
+		Duration:   sim.Duration(cfg.Duration),
+		Seed:       cfg.Seed,
+		Instrument: recordPolicyTrace(app, tr),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("parity: sim run: %w", err)
+	}
+	ticks := 0
+	for _, ev := range tr.Events {
+		if ev.Kind == policy.TickEvent {
+			ticks++
+		}
 	}
 
 	replay := live.ReplayDecisions(tr, cal.Model, platform.Grid, m.MonitorSettings())

@@ -49,7 +49,7 @@ type Fig11Result struct {
 // seven) under Rubik, Gemini and ReTail.
 func Fig11(cfg Config, appNames []string) (*Fig11Result, error) {
 	if appNames == nil {
-		appNames = AppNames()
+		appNames = workload.Names()
 	}
 	// Two levels of fan-out: one cell per app (whose calibration and
 	// Gemini NN training dominate the wall clock), and inside each app a

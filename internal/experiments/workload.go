@@ -27,7 +27,6 @@ import (
 	"retail/internal/live"
 	"retail/internal/manager"
 	"retail/internal/policy"
-	"retail/internal/server"
 	"retail/internal/sim"
 	"retail/internal/workload"
 )
@@ -161,9 +160,9 @@ func WorkloadSweep(cfg Config, opt WorkloadOptions) (*WorkloadSweepResult, error
 	return res, nil
 }
 
-// frozenReTail builds a ReTail manager with retraining disabled, so the
-// model the live decider replays against is bit-identical to the one the
-// recording run consulted (same freeze RunParity applies).
+// frozenReTail builds a ReTail manager with retraining disabled (Training
+// nil), so the model the live decider replays against is bit-identical to
+// the one the recording run consulted.
 func frozenReTail(cal *core.Calibration, app workload.App) *manager.ReTail {
 	mcfg := manager.DefaultReTailConfig()
 	mcfg.Layout = cal.Layout
@@ -176,7 +175,6 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 	app := cal.App
 	scaled := spec.ScaledTo(rps)
 	_, scales := scaled.Classes()
-	mcfg := manager.DefaultReTailConfig()
 
 	// Recording run: the v2 trace taps the generator→server path while
 	// the policy trace records everything the decision core consumed.
@@ -193,14 +191,7 @@ func runWorkloadCell(cfg Config, cal *core.Calibration, platform core.Platform, 
 		App: app, Platform: platform, Manager: m1,
 		Spec: scaled, Record: trace,
 		Warmup: dur / 5, Duration: dur, Seed: cfg.Seed,
-		Instrument: func(e *sim.Engine, srv *server.Server) {
-			rec := &traceRecorder{inner: srv.Hooks, specs: app.FeatureSpecs(), tr: ptr}
-			srv.Hooks = rec
-			policy.RunMonitor(parityTimer{e}, float64(mcfg.MonitorInterval), "parity.tick",
-				func(now policy.Time) {
-					rec.tr.Events = append(rec.tr.Events, policy.TraceEvent{Kind: policy.TickEvent, At: now})
-				})
-		},
+		Instrument: recordPolicyTrace(app, ptr),
 	}
 	result, err := core.Run(run)
 	if err != nil {

@@ -185,7 +185,7 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 	for attempt := 0; attempt <= pol.MaxDVFSRetries; attempt++ {
 		if attempt > 0 {
 			s.deg.retries.Add(1)
-			s.metrics.incDVFSRetry()
+			s.metrics.dvfsRetries.Inc()
 			time.Sleep(backoff)
 			backoff *= 2
 		}
@@ -194,12 +194,12 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 			return lvl
 		}
 		s.deg.writeErrors.Add(1)
-		s.metrics.incDVFSWriteError()
+		s.metrics.dvfsErrors.Inc()
 	}
 	// Retry budget exhausted: pin at max frequency. QoS is protected at
 	// the cost of power; the pin clears on the next successful write.
 	s.deg.fallbacks.Add(1)
-	s.metrics.incDVFSFallback()
+	s.metrics.dvfsFallbacks.Inc()
 	max := s.grid.MaxLevel()
 	for attempt := 0; attempt <= pol.MaxDVFSRetries; attempt++ {
 		if attempt > 0 {
@@ -211,7 +211,7 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 			return max
 		}
 		s.deg.writeErrors.Add(1)
-		s.metrics.incDVFSWriteError()
+		s.metrics.dvfsErrors.Inc()
 	}
 	// Even the pin failed: the hardware is at an unknown frequency. Keep
 	// the last known level for pacing and surface the unknown state.
@@ -224,7 +224,7 @@ func (s *Server) applyLevel(worker int, lvl cpu.Level) cpu.Level {
 	s.applied[worker].pinned = true
 	pinned := s.pinnedLocked()
 	s.mu.Unlock()
-	s.metrics.setPinned(pinned)
+	s.metrics.pinned.Set(float64(pinned))
 	return last
 }
 
@@ -237,7 +237,7 @@ func (s *Server) noteApplied(worker int, lvl cpu.Level, pinned bool) {
 	n := s.pinnedLocked()
 	s.mu.Unlock()
 	if changed {
-		s.metrics.setPinned(n)
+		s.metrics.pinned.Set(float64(n))
 	}
 }
 

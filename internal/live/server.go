@@ -166,7 +166,7 @@ type Server struct {
 	stop chan struct{}
 
 	decisions uint64
-	metrics   *liveMetrics // nil when cfg.Metrics is nil
+	metrics   liveMetrics // every instrument nil when cfg.Metrics is nil
 
 	// reqPool recycles queuedReq nodes (and their Features backing)
 	// between requests: the connection reader decodes into a pooled node,
@@ -295,7 +295,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			app = "live"
 		}
 		s.metrics = newLiveMetrics(cfg.Metrics, app, s.grid, float64(cfg.QoS.Latency))
-		s.metrics.setQoSPrime(durS(s.dec.QoSPrime()))
+		s.metrics.qosPrime.Set(durS(s.dec.QoSPrime()).Seconds())
 	}
 	return s, nil
 }
@@ -483,14 +483,14 @@ func (s *Server) enqueue(q *queuedReq) {
 	if s.degrade.ShouldShed(len(s.queues[best]), svcAtMax, s.classes.Apply(q.req.Class, s.dec.QoSPrime())) {
 		s.mu.Unlock()
 		s.deg.shed.Add(1)
-		s.metrics.incShed()
+		s.metrics.Dropped.Inc()
 		s.respond(q, Response{ID: q.req.ID, GenNs: q.req.GenNs, RecvNs: q.recv.UnixNano(), Dropped: true})
 		return
 	}
 	s.queues[best] = append(s.queues[best], q)
 	depth := s.queuedLocked()
 	s.mu.Unlock()
-	s.metrics.setQueueDepth(depth)
+	s.metrics.QueueDepth.Set(float64(depth))
 	select {
 	case s.wake[best] <- struct{}{}:
 	default:
@@ -522,7 +522,7 @@ func (s *Server) worker(id int) {
 		depth := s.queuedLocked()
 		s.mu.Unlock()
 		if q != nil {
-			s.metrics.setQueueDepth(depth)
+			s.metrics.QueueDepth.Set(float64(depth))
 		}
 		if q == nil {
 			select {
@@ -537,7 +537,7 @@ func (s *Server) worker(id int) {
 		// (policy.Degrade.DeadlineExceeded — the shared predicate).
 		if s.degrade.DeadlineExceeded(time.Since(q.recv).Seconds(), float64(s.cfg.QoS.Latency)) {
 			s.deg.deadline.Add(1)
-			s.metrics.incDeadlineDrop()
+			s.metrics.deadlineDrops.Inc()
 			s.respond(q, Response{ID: q.req.ID, GenNs: q.req.GenNs, RecvNs: q.recv.UnixNano(), Dropped: true})
 			continue
 		}
@@ -568,7 +568,7 @@ func (s *Server) worker(id int) {
 			boostTimer.Stop()
 		}
 		sojourn := end.Sub(time.Unix(0, q.req.GenNs))
-		s.metrics.observeCompletion(sojourn, end.Sub(start), applied)
+		s.metrics.Observe(sojourn.Seconds(), end.Sub(start).Seconds(), int(applied))
 		s.recordSpan(LiveSpan{
 			ID: q.req.ID, Worker: id,
 			RecvNs: q.recv.UnixNano(), StartNs: start.UnixNano(), EndNs: end.UnixNano(),
@@ -609,7 +609,7 @@ func (s *Server) decide(id int, head *queuedReq) (cpu.Level, float64, int, time.
 	s.pipe.head, s.pipe.queue = nil, nil
 	s.decisions++
 	s.mu.Unlock()
-	s.metrics.incDecisions()
+	s.metrics.decisions.Inc()
 	return lvl, predicted, qlen, qp
 }
 
@@ -634,6 +634,6 @@ func (s *Server) monitor() {
 		s.dec.Tick(now)
 		qp := durS(s.dec.QoSPrime())
 		s.mu.Unlock()
-		s.metrics.setQoSPrime(qp)
+		s.metrics.qosPrime.Set(qp.Seconds())
 	}
 }

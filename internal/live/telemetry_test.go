@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"retail/internal/core"
+	"retail/internal/cpu"
+	"retail/internal/server"
 	"retail/internal/telemetry"
 	"retail/internal/workload"
 )
@@ -136,5 +138,56 @@ func TestLiveMetricsExposition(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != 200 {
 		t.Fatalf("/healthz = %d, want 200", hr.StatusCode)
+	}
+}
+
+// TestLiveHelpMatchesSim: every metric family both runtimes register
+// carries the same help text, so one dashboard reads either scrape.
+func TestLiveHelpMatchesSim(t *testing.T) {
+	app := workload.NewXapian()
+	platform := core.DefaultPlatform().WithWorkers(2)
+	help := func(reg *telemetry.Registry) map[string]string {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+				name, text, _ := strings.Cut(rest, " ")
+				out[name] = text
+			}
+		}
+		return out
+	}
+
+	simReg := telemetry.NewRegistry()
+	srv := server.New(server.Config{App: app, Workers: 2, Grid: platform.Grid, Power: platform.Power, Trans: platform.Trans})
+	server.AttachTelemetry(srv, simReg, app.Name(), app.QoS())
+
+	liveReg := telemetry.NewRegistry()
+	if _, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", Workers: 2, QoS: app.QoS(),
+		Predictor: flatPredictor{}, Backend: NewMockBackend(platform.Grid),
+		Exec:    func(Request, cpu.Level) {},
+		Metrics: liveReg, AppName: app.Name(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	simHelp, liveHelp := help(simReg), help(liveReg)
+	shared := 0
+	for name, text := range simHelp {
+		lt, ok := liveHelp[name]
+		if !ok {
+			continue
+		}
+		shared++
+		if lt != text {
+			t.Errorf("%s: sim help %q, live help %q", name, text, lt)
+		}
+	}
+	if shared < 8 {
+		t.Fatalf("only %d shared families; want the 8-family completion set", shared)
 	}
 }

@@ -213,14 +213,14 @@ func (m *ReTail) EnableTraces() { m.collectTraces = true }
 // they expose the full paper §VI control loop.
 func (m *ReTail) Instrument(reg *telemetry.Registry, app string) {
 	appLabel := telemetry.L("app", app)
-	m.qosPrimeGauge = reg.Gauge(server.MetricQoSPrime,
+	m.qosPrimeGauge = reg.Gauge(telemetry.MetricQoSPrime,
 		"Internal latency target QoS' steered by the latency monitor.", appLabel)
 	m.qosPrimeGauge.Set(m.mon.QoSPrime())
-	m.retrainCounter = reg.Counter(server.MetricRetrainsTotal,
+	m.retrainCounter = reg.Counter(telemetry.MetricRetrainsTotal,
 		"Drift-triggered model retrains that went live.", appLabel)
-	m.decisionCounter = reg.Counter(server.MetricDecisionsTotal,
+	m.decisionCounter = reg.Counter(telemetry.MetricDecisionsTotal,
 		"Algorithm 1 frequency decisions.", appLabel)
-	driftCounter := reg.Counter(server.MetricDriftTotal,
+	driftCounter := reg.Counter(telemetry.MetricDriftTotal,
 		"Model-drift episodes detected (RMSE/QoS above baseline+threshold).", appLabel)
 	m.drift.OnDrift(driftCounter.Inc)
 }

@@ -53,7 +53,7 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 		t.Fatalf("only %d completions; load generator misconfigured", tracker.Count())
 	}
 
-	soj := reg.Histogram(MetricSojournSeconds, "", telemetry.L("app", "var"))
+	soj := reg.Histogram(telemetry.MetricSojournSeconds, "", telemetry.L("app", "var"))
 	if got, want := soj.Count(), uint64(tracker.Count()); got != want {
 		t.Fatalf("histogram count %d != tracker count %d", got, want)
 	}
@@ -64,7 +64,7 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 			t.Errorf("sojourn q%g: histogram %.6g vs exact %.6g (tol %.3g)", q, got, exact, tol)
 		}
 	}
-	svc := reg.Histogram(MetricServiceSeconds, "", telemetry.L("app", "var"))
+	svc := reg.Histogram(telemetry.MetricServiceSeconds, "", telemetry.L("app", "var"))
 	exact, _ := svcTracker.Percentile(95)
 	if got := svc.Quantile(0.95); math.Abs(got-exact) > telemetry.BucketWidthAt(exact) {
 		t.Errorf("service p95: histogram %.6g vs exact %.6g", got, exact)
@@ -72,14 +72,14 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 
 	// Completion counter and per-level residency must both equal the
 	// server's own count.
-	completed := reg.Counter(MetricRequestsTotal, "", telemetry.L("app", "var"))
+	completed := reg.Counter(telemetry.MetricRequestsTotal, "", telemetry.L("app", "var"))
 	if got := completed.Value(); got != uint64(s.Completed()) {
 		t.Fatalf("requests_total %d != completed %d", got, s.Completed())
 	}
 	grid := s.Socket.Cores[0].Grid()
 	var residency uint64
 	for lvl := 0; lvl < grid.Levels(); lvl++ {
-		residency += reg.Counter(MetricFreqResidency, "",
+		residency += reg.Counter(telemetry.MetricFreqResidency, "",
 			telemetry.L("app", "var"), telemetry.L("level", strconv.Itoa(lvl))).Value()
 	}
 	if residency != uint64(s.Completed()) {
@@ -87,7 +87,7 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 	}
 
 	// Queue drained → depth gauge back to zero.
-	if depth := reg.Gauge(MetricQueueDepth, "", telemetry.L("app", "var")); depth.Value() != 0 {
+	if depth := reg.Gauge(telemetry.MetricQueueDepth, "", telemetry.L("app", "var")); depth.Value() != 0 {
 		t.Fatalf("queue depth gauge = %v after drain", depth.Value())
 	}
 
@@ -96,7 +96,7 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), MetricSojournSeconds+"_bucket") {
+	if !strings.Contains(sb.String(), telemetry.MetricSojournSeconds+"_bucket") {
 		t.Fatal("exposition missing sojourn buckets")
 	}
 }
@@ -113,11 +113,11 @@ func TestTelemetryHooksCountDrops(t *testing.T) {
 		e.At(0, "submit", func(en *sim.Engine) { s.Submit(en, r) })
 	}
 	e.RunAll()
-	dropped := reg.Counter(MetricDroppedTotal, "", telemetry.L("app", "fixed"))
+	dropped := reg.Counter(telemetry.MetricDroppedTotal, "", telemetry.L("app", "fixed"))
 	if got := dropped.Value(); got != 5 {
 		t.Fatalf("dropped counter = %d, want 5", got)
 	}
-	if got := reg.Counter(MetricRequestsTotal, "", telemetry.L("app", "fixed")).Value(); got != 0 {
+	if got := reg.Counter(telemetry.MetricRequestsTotal, "", telemetry.L("app", "fixed")).Value(); got != 0 {
 		t.Fatalf("requests_total = %d, want 0", got)
 	}
 }
@@ -136,10 +136,10 @@ func TestTelemetrySlackAndViolations(t *testing.T) {
 		e.At(0, "submit", func(en *sim.Engine) { r.Gen = en.Now(); s.Submit(en, r) })
 	}
 	e.RunAll()
-	if got := reg.Counter(MetricViolationsTotal, "", telemetry.L("app", "fixed")).Value(); got != 1 {
+	if got := reg.Counter(telemetry.MetricViolationsTotal, "", telemetry.L("app", "fixed")).Value(); got != 1 {
 		t.Fatalf("violations = %d, want 1", got)
 	}
-	slack := reg.Histogram(MetricSlackSeconds, "", telemetry.L("app", "fixed"))
+	slack := reg.Histogram(telemetry.MetricSlackSeconds, "", telemetry.L("app", "fixed"))
 	if got := slack.Count(); got != 2 {
 		t.Fatalf("slack observations = %d, want 2", got)
 	}

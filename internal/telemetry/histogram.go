@@ -80,6 +80,9 @@ func NewHistogram() *Histogram {
 // this codebase they only arise from clock retrogression and must not
 // corrupt the layout.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	if !(v > 0) { // catches negatives and NaN in one comparison
 		v = 0
 	}

@@ -33,16 +33,22 @@ import (
 
 // Counter is a monotonically increasing integer, safe for concurrent use.
 // The zero value is usable but counters normally come from a Registry so
-// they are exported.
+// they are exported. Updates to a nil Counter, Gauge or Histogram are
+// no-ops, so a runtime with metrics off records through nil instruments
+// instead of guarding every call site.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (n is unsigned: counters never go down).
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -53,11 +59,15 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add adjusts the gauge by d (d may be negative).
 func (g *Gauge) Add(d float64) {
-	for {
+	for g != nil {
 		old := g.bits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + d)
 		if g.bits.CompareAndSwap(old, new) {

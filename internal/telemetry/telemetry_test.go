@@ -201,3 +201,40 @@ func TestServeBindsAndCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNilInstrumentsDiscard: updates to nil instruments (a runtime with
+// metrics off) are no-ops, including a zero Completions set.
+func TestNilInstrumentsDiscard(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(2)
+	var g *Gauge
+	g.Set(1)
+	g.Add(1)
+	var h *Histogram
+	h.Observe(1)
+	var cs Completions
+	cs.Observe(1, 0.5, 3)
+}
+
+// TestCompletionsObserve: one completion lands in every family of the
+// set, and a sojourn past the QoS target counts as a violation.
+func TestCompletionsObserve(t *testing.T) {
+	reg := NewRegistry()
+	cs := NewCompletions(reg, 3, 0.010, L("app", "a"))
+	cs.Observe(0.004, 0.002, 1)
+	cs.Observe(0.020, 0.015, 2)
+	cs.Observe(0.001, 0.001, 7) // level outside the grid: not a residency
+	if got := cs.Completed.Value(); got != 3 {
+		t.Fatalf("completed = %d, want 3", got)
+	}
+	if got := cs.Violations.Value(); got != 1 {
+		t.Fatalf("violations = %d, want 1", got)
+	}
+	if got := cs.Residency[1].Value() + cs.Residency[2].Value(); got != 2 {
+		t.Fatalf("residency = %d, want 2", got)
+	}
+	if got := reg.Counter(MetricRequestsTotal, "", L("app", "a")).Value(); got != 3 {
+		t.Fatalf("registry counter = %d, want the set's own 3", got)
+	}
+}

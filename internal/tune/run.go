@@ -106,16 +106,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil || cfg.Spec == nil {
 		return nil, fmt.Errorf("tune: Config needs Trace and Spec")
 	}
-	if len(cfg.Trace.Records) == 0 {
-		return nil, fmt.Errorf("tune: trace has no records")
-	}
-	apps := cfg.Trace.Header.Apps
-	if len(apps) != 1 {
-		return nil, fmt.Errorf("tune: trace covers apps %v; tuning needs exactly one", apps)
-	}
-	app := workload.ByName(apps[0])
-	if app == nil {
-		return nil, fmt.Errorf("tune: trace app %q unknown", apps[0])
+	app, err := cfg.Trace.SingleApp()
+	if err != nil {
+		return nil, fmt.Errorf("tune: %w", err)
 	}
 	switch cfg.Manager {
 	case "retail", "rubik", "gemini", "eetl":

@@ -343,6 +343,15 @@ func All() []App {
 	}
 }
 
+// Names lists the seven applications in the paper's order.
+func Names() []string {
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name())
+	}
+	return names
+}
+
 // ByName returns the named application, or nil.
 func ByName(name string) App {
 	for _, a := range All() {

@@ -445,3 +445,22 @@ func TestReadTraceHostileRecordCount(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceSingleApp: a replay source holds at least one record and
+// names exactly one known app; anything else is rejected up front.
+func TestTraceSingleApp(t *testing.T) {
+	tr := RecordTrace(BuiltinSpec("steady-poisson"), 1, 1)
+	app, err := tr.SingleApp()
+	if err != nil || app.Name() != "moses" {
+		t.Fatalf("SingleApp = %v, %v; want moses", app, err)
+	}
+	empty, twoApps, unknown := *tr, *tr, *tr
+	empty.Records = nil
+	twoApps.Header.Apps = []string{"moses", "xapian"}
+	unknown.Header.Apps = []string{"no-such-app"}
+	for name, bad := range map[string]*Trace{"no records": &empty, "two apps": &twoApps, "unknown app": &unknown} {
+		if _, err := bad.SingleApp(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

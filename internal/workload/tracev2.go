@@ -293,6 +293,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
+// SingleApp returns the app a replay of the trace drives, or an error
+// unless the trace has at least one record and names exactly one known
+// app — the counterpart of Spec.SingleApp for recorded sources.
+func (t *Trace) SingleApp() (App, error) {
+	if len(t.Records) == 0 {
+		return nil, fmt.Errorf("workload: trace has no records")
+	}
+	if apps := t.Header.Apps; len(apps) != 1 {
+		return nil, fmt.Errorf("workload: trace covers apps %v; this runtime replays one", apps)
+	}
+	app := ByName(t.Header.Apps[0])
+	if app == nil {
+		return nil, fmt.Errorf("workload: trace app %q unknown", t.Header.Apps[0])
+	}
+	return app, nil
+}
+
 // ReadTraceFile reads a v2 trace from path.
 func ReadTraceFile(path string) (*Trace, error) {
 	f, err := os.Open(path)

@@ -81,6 +81,15 @@ func TestByName(t *testing.T) {
 	if ByName("nope") != nil {
 		t.Fatal("unknown app should be nil")
 	}
+	names := Names()
+	if len(names) != 7 {
+		t.Fatalf("Names() = %v, want the seven apps", names)
+	}
+	for _, n := range names {
+		if a := ByName(n); a == nil || a.Name() != n {
+			t.Fatalf("ByName(%q) does not round-trip", n)
+		}
+	}
 }
 
 func TestFeatureIndex(t *testing.T) {

@@ -26,6 +26,8 @@ var smokeTargets = []struct {
 	{"./examples/replay", nil},
 	{"./examples/websearch", nil},
 	{"./cmd/retail-sim", []string{"-workers", "4", "-duration", "2", "-samples", "200"}},
+	// The cohort-spec path of the CLI's shared run-input loader.
+	{"./cmd/retail-sim", []string{"-spec", "steady-poisson", "-workers", "4", "-duration", "1", "-samples", "200"}},
 	{"./cmd/retail-characterize", []string{"-quick"}},
 	{"./cmd/retail-bench", []string{"-list"}},
 	// Exercises the full wall-clock path including the Prometheus
