@@ -13,6 +13,7 @@
 #   make trace-check     fixed-seed Chrome trace vs committed golden bytes
 #   make chaos-check     fault-injection suite: injector contracts, degradation
 #                        paths, live replays, sim matrix vs committed golden
+#   make chaos-race      the chaos-check tests, 5 times under -race (nightly)
 #   make parity-check    replay parity under -race: one recorded simulator
 #                        trace through the live runtime's decider must yield
 #                        byte-identical decisions (DESIGN.md §10)
@@ -45,8 +46,8 @@
 GO ?= go
 
 # The hot-path micro-benchmarks tracked across PRs: the event loop
-# (freelist), Algorithm 1 decisions (prediction memo), the sweep runner
-# and the fleet simulator. bench-check runs each exactly once under the
+# (freelist), Algorithm 1 decisions (prediction memo), the sweep runner,
+# the fleet simulator and the per-completion latency recorder. bench-check runs each exactly once under the
 # race detector — a correctness smoke, not a measurement — and then
 # times BenchmarkClusterFleet for real and gates it against the
 # committed baseline. The gate tolerance (benchjson defaults: 3x on
@@ -56,10 +57,10 @@ GO ?= go
 # catches a full relapse. bench-baseline produces the committed JSON
 # trajectories from a real timed run and appends each refresh to the
 # append-only results/BENCH_history.jsonl.
-HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|Sweep|Cluster)'
-HOT_PKGS  = ./internal/sim ./internal/manager ./internal/experiments ./internal/cluster
+HOT_BENCH = 'Benchmark(Engine(AfterFire|ScheduleCancel)|RetailDecide|Sweep|Cluster|LatencyTrackerAdd)'
+HOT_PKGS  = ./internal/sim ./internal/manager ./internal/experiments ./internal/cluster ./internal/stats
 
-.PHONY: build test race vet bench bench-check bench-baseline trace-check chaos-check parity-check cluster-check obs-check workload-check tune-check golden gate-list smoke check clean
+.PHONY: build test race vet bench bench-check bench-baseline trace-check chaos-check chaos-race parity-check cluster-check obs-check workload-check tune-check golden gate-list smoke check clean
 
 build:
 	$(GO) build ./...
@@ -97,9 +98,15 @@ trace-check:
 # injector determinism and zero-alloc contracts, DVFS retry/fallback and
 # shedding paths, fixed-seed live replays of the built-in plans, and the
 # simulator chaos matrix compared byte-for-byte against its golden.
+# chaos-race reruns the same set repeatedly under the race detector (the
+# nightly chaos workflow), so the set is defined only here.
 CHAOS_TESTS = 'TestInjector|TestFault|TestPlan|TestCorrupting|TestApplyLevel|TestSysfsBackendReconcile|TestShed|TestClientRetries|TestDeadlineDrop|TestServerExecFault|TestChaos|TestLiveChaos'
+CHAOS_PKGS  = ./internal/fault ./internal/live ./internal/experiments
 chaos-check:
-	$(GO) test -count=1 -run $(CHAOS_TESTS) ./internal/fault ./internal/live ./internal/experiments
+	$(GO) test -count=1 -run $(CHAOS_TESTS) $(CHAOS_PKGS)
+
+chaos-race:
+	$(GO) test -race -count=5 -run $(CHAOS_TESTS) $(CHAOS_PKGS)
 
 # Replay parity (DESIGN.md §10): the simulator adapter records every
 # input the shared decision core consumed; replaying the trace through
@@ -181,7 +188,7 @@ LIST = $(GO) test -list
 TAG  = awk '/^Test/ { t[n++] = $$0 } /^ok/ { for (i = 0; i < n; i++) print $$2 ": " t[i]; n = 0 }'
 gate-list:
 	@echo '# trace-check';    $(LIST) $(TRACE_TESTS) ./internal/trace | $(TAG)
-	@echo '# chaos-check';    $(LIST) $(CHAOS_TESTS) ./internal/fault ./internal/live ./internal/experiments | $(TAG)
+	@echo '# chaos-check';    $(LIST) $(CHAOS_TESTS) $(CHAOS_PKGS) | $(TAG)
 	@echo '# parity-check';   $(LIST) $(PARITY_TESTS) ./internal/experiments | $(TAG)
 	@echo '# cluster-check';  $(LIST) $(CLUSTER_POLICY_TESTS) ./internal/policy | $(TAG)
 	@$(LIST) $(CLUSTER_FLEET_TESTS) ./internal/cluster | $(TAG)

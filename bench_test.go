@@ -343,7 +343,7 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 // width of the exact value.
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	h := telemetry.NewHistogram()
-	lt := stats.NewLatencyTracker(0, true)
+	var lt stats.LatencyTracker
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 50000; i++ {
 		// Lognormal-ish service times around a few milliseconds.

@@ -43,7 +43,7 @@ type Pipeline struct {
 	platform core.Platform
 	rng      *rand.Rand
 
-	sojourns *stats.LatencyTracker
+	sojourns stats.LatencyTracker
 	inflight map[uint64]*flight
 	nextID   uint64
 	done     int
@@ -111,7 +111,6 @@ func NewPipeline(e *sim.Engine, qos workload.QoS, tiers []*Tier, platform core.P
 		Tiers:       tiers,
 		platform:    platform,
 		rng:         rand.New(rand.NewSource(seed)),
-		sojourns:    stats.NewLatencyTracker(4096, true),
 		inflight:    map[uint64]*flight{},
 	}
 	for i, t := range tiers {

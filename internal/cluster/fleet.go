@@ -267,7 +267,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	type node struct {
 		srv  *server.Server
-		lat  *stats.LatencyTracker
+		lat  stats.LatencyTracker
 		st   NodeStats
 		ends sim.Time
 	}
@@ -281,7 +281,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	// either way — only allocation counts change.
 	pool := &workload.RequestPool{}
 	measuring := false
-	fleetLat := stats.NewLatencyTracker(0, true)
+	var fleetLat stats.LatencyTracker
 	// Resolve the effective offered load up front: it sizes the latency
 	// buffers and is what the result reports.
 	spec := cfg.Spec
@@ -296,17 +296,14 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
 	}
 	// Expected completions during the measured window; presizing the
-	// keepAll buffers spares their append-doubling reallocations.
+	// trackers spares their append-doubling reallocations.
 	expect := int(rps*float64(cfg.Duration)) + 64
-	fleetLat.ReserveAll(expect)
+	fleetLat.Reserve(expect)
 	levels := platform.Grid.Levels()
 
 	for i := range nodes {
-		n := &node{
-			lat: stats.NewLatencyTracker(0, true),
-			st:  NodeStats{Node: i, Residency: make([]int, levels)},
-		}
-		n.lat.ReserveAll(expect/cfg.Nodes + expect/(4*cfg.Nodes) + 64)
+		n := &node{st: NodeStats{Node: i, Residency: make([]int, levels)}}
+		n.lat.Reserve(expect/cfg.Nodes + expect/(4*cfg.Nodes) + 64)
 		n.srv = server.New(server.Config{
 			App:     app,
 			Workers: cfg.WorkersPerNode,

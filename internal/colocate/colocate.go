@@ -55,7 +55,7 @@ func NewNode(tenants []*Tenant, platform core.Platform) *Node {
 			Trans:   platform.Trans,
 			Seed:    platform.Seed + int64(i)*101,
 		})
-		t.Lat = stats.NewLatencyTracker(4096, true)
+		t.Lat = &stats.LatencyTracker{}
 		srv := t.Server
 		lat := t.Lat
 		srv.CompletedSink = func(_ *sim.Engine, r *workload.Request) {

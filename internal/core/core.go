@@ -591,7 +591,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 
 	qos := cfg.App.QoS()
-	lat := stats.NewLatencyTracker(0, true)
+	var lat stats.LatencyTracker
 	measuring := false
 	var samples []predict.Sample
 	droppedInWindow := 0
@@ -727,12 +727,6 @@ func (r *Result) DropRate() float64 {
 		return 0
 	}
 	return float64(r.Dropped) / float64(total)
-}
-
-// NewEETL constructs the progress-threshold baseline (related work §II)
-// from the offline profile.
-func (c *Calibration) NewEETL() *manager.EETL {
-	return c.NewEETLParams(policy.Params{})
 }
 
 // NewEETLParams constructs the EETL baseline under a serializable policy

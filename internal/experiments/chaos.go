@@ -214,7 +214,7 @@ func chaosRunOnce(cfg Config, cal *core.Calibration, mgrName string, rps float64
 		rt.SetDecisionSink(flight)
 	}
 
-	lat := stats.NewLatencyTracker(0, true)
+	var lat stats.LatencyTracker
 	measuring := false
 	dropped := 0
 	srv.CompletedSink = func(en *sim.Engine, r *workload.Request) {

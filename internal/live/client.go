@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"retail/internal/cpu"
 	"retail/internal/fault"
 	"retail/internal/sim"
+	"retail/internal/stats"
 	"retail/internal/workload"
 )
 
@@ -94,7 +94,9 @@ type ClientResult struct {
 // measures sojourn times client-side (t3 − t1, §V-C). Shed responses
 // (Dropped) are retried with jittered exponential backoff up to the retry
 // budget; the latency sample for a retried request spans from its FIRST
-// send, so shedding shows up as tail latency, not as silent loss.
+// send, so shedding shows up as tail latency, not as silent loss. A
+// connection that fails to send or receive ends the run: RunClient stops
+// sending and returns that error.
 func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 4
@@ -114,18 +116,40 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 		backoff0 = time.Duration(float64(2*time.Millisecond) * cfg.TimeScale)
 	}
 
+	// Dial every connection before starting any worker: a failed dial then
+	// has only the connections already opened to close.
+	conns := make([]net.Conn, cfg.Conns)
+	for c := range conns {
+		conn, err := net.Dial("tcp", cfg.Addr)
+		if err != nil {
+			for _, open := range conns[:c] {
+				open.Close()
+			}
+			return nil, fmt.Errorf("live: dial: %w", err)
+		}
+		conns[c] = conn
+	}
+
 	type job struct{ req Request }
 	jobs := make(chan job, 1024)
 	var mu sync.Mutex
-	var lats []float64
-	completed, retries, lost := 0, 0, 0
+	var lat stats.LatencyTracker
+	retries, lost := 0, 0
+	// The first connection error ends the run: failed stops the producer,
+	// and RunClient returns the error.
+	var connErr error
+	failed := make(chan struct{})
+	fail := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if connErr == nil {
+			connErr = err
+			close(failed)
+		}
+	}
 
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.Conns; c++ {
-		conn, err := net.Dial("tcp", cfg.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("live: dial: %w", err)
-		}
+	for c, conn := range conns {
 		wg.Add(1)
 		go func(conn net.Conn, connIdx int) {
 			defer wg.Done()
@@ -138,40 +162,34 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			for j := range jobs {
 				first := time.Now().UnixNano()
 				backoff := backoff0
-				done := false
 				for attempt := 0; ; attempt++ {
 					j.req.GenNs = time.Now().UnixNano()
 					if err := enc.Encode(j.req); err != nil {
+						fail(fmt.Errorf("live: send: %w", err))
 						return
 					}
 					var resp Response
 					if err := dec.Decode(&resp); err != nil {
+						fail(fmt.Errorf("live: receive: %w", err))
 						return
 					}
-					if !resp.Dropped {
-						lat := float64(resp.EndNs-first) / 1e9
-						mu.Lock()
-						lats = append(lats, lat)
-						completed++
-						mu.Unlock()
-						done = true
-						break
+					mu.Lock()
+					switch {
+					case !resp.Dropped:
+						lat.Add(float64(resp.EndNs-first) / 1e9)
+					case attempt >= maxRetries:
+						lost++
+					default:
+						retries++
 					}
-					if attempt >= maxRetries {
+					mu.Unlock()
+					if !resp.Dropped || attempt >= maxRetries {
 						break
 					}
 					// ±50% jitter so synchronized clients desynchronize.
 					jit := 0.5 + jrng.Float64()
-					mu.Lock()
-					retries++
-					mu.Unlock()
 					time.Sleep(time.Duration(float64(backoff) * jit))
 					backoff *= 2
-				}
-				if !done {
-					mu.Lock()
-					lost++
-					mu.Unlock()
 				}
 			}
 		}(conn, c)
@@ -182,6 +200,7 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	deadline := start.Add(cfg.Duration)
 	sent := 0
 	var id uint64
+produce:
 	for time.Now().Before(deadline) {
 		rps := cfg.RPS
 		if b := cfg.Burst; b != nil && b.Factor > 0 {
@@ -196,24 +215,24 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 		time.Sleep(gap)
 		r := cfg.App.Generate(rng)
 		id++
-		jobs <- job{req: Request{ID: id, Features: r.Features}}
-		sent++
+		select {
+		case jobs <- job{req: Request{ID: id, Features: r.Features}}:
+			sent++
+		case <-failed:
+			break produce
+		}
 	}
 	close(jobs)
 	wg.Wait()
+	if connErr != nil {
+		return nil, connErr
+	}
 
-	res := &ClientResult{Sent: sent, Completed: completed, Retries: retries, Lost: lost}
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		pick := func(p float64) time.Duration {
-			return time.Duration(lats[int(p/100*float64(len(lats)-1))] * 1e9)
-		}
-		res.P50, res.P95, res.P99 = pick(50), pick(95), pick(99)
-		sum := 0.0
-		for _, l := range lats {
-			sum += l
-		}
-		res.Mean = time.Duration(sum / float64(len(lats)) * 1e9)
+	res := &ClientResult{Sent: sent, Completed: lat.Count(), Retries: retries, Lost: lost}
+	if lat.Count() > 0 {
+		qs := lat.Quantiles(0.50, 0.95, 0.99)
+		d := func(s float64) time.Duration { return time.Duration(s * 1e9) }
+		res.P50, res.P95, res.P99, res.Mean = d(qs[0]), d(qs[1]), d(qs[2]), d(lat.Mean())
 	}
 	return res, nil
 }

@@ -182,3 +182,28 @@ func TestTraceScheduledLoad(t *testing.T) {
 		t.Errorf("per-class completed %d / dropped %d, totals %d / %d", completed, dropped, res.Completed, res.Dropped)
 	}
 }
+
+// TestClientConnectionLoss: when the server goes away mid-run, RunClient
+// must stop sending and report the failure, not return a clean result
+// (or block forever once its send queue fills).
+func TestClientConnectionLoss(t *testing.T) {
+	srv := saturationServer(t, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunClient(ClientConfig{
+			Addr: srv.Addr(), App: workload.NewMasstree(),
+			RPS: 2000, Duration: 30 * time.Second, Conns: 2, Seed: 1,
+		})
+		done <- err
+	}()
+	time.Sleep(200 * time.Millisecond)
+	srv.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("RunClient returned no error after the server closed its connections")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunClient still running 5s after the server closed its connections")
+	}
+}

@@ -306,6 +306,39 @@ func TestPegasusBoostsOnViolation(t *testing.T) {
 	}
 }
 
+// TestPegasusWindowKeepsLast4096: when a tick completes more requests
+// than the window holds, the tail is stats.Percentile over the most
+// recent pegasusWindow sojourns, and the older ones do not count.
+func TestPegasusWindowKeepsLast4096(t *testing.T) {
+	app := varApp{base: 1e-3, slope: 0, spread: 1, qos: workload.QoS{Latency: 10e-3, Percentile: 99}}
+	rig := newRig(t, app, 2)
+	m := NewPegasus(app.QoS())
+	m.Attach(rig.e, rig.srv)
+	rng := rand.New(rand.NewSource(3))
+	var soj []float64
+	for i := 0; i < 3*pegasusWindow/2; i++ {
+		// Slack everywhere but in the oldest third, which is far over QoS.
+		s := rng.Float64() * 0.5 * float64(app.qos.Latency)
+		if i < pegasusWindow/2 {
+			s *= 100
+		}
+		soj = append(soj, s)
+		m.Complete(rig.e, nil, &workload.Request{End: sim.Time(s)})
+	}
+	// The tail is below LowerBelow×QoS over the last pegasusWindow
+	// sojourns only; counting the older ones would jump to max instead.
+	if tail := stats.Percentile(soj[len(soj)-pegasusWindow:], app.qos.Percentile); tail > m.LowerBelow*float64(app.qos.Latency) {
+		t.Fatalf("test setup: recent tail %v leaves no slack", tail)
+	}
+	rig.e.Run(0.15) // one tick
+	if m.Level() != rig.grid.MaxLevel()-1 {
+		t.Fatalf("level %d after a tick with slack in the last %d sojourns, want %d", m.Level(), pegasusWindow, rig.grid.MaxLevel()-1)
+	}
+	if len(m.window) != 0 {
+		t.Fatalf("tick left %d samples in the window", len(m.window))
+	}
+}
+
 // ---------------------------------------------------------------------------
 // MaxFreq
 

@@ -138,8 +138,13 @@ type Pegasus struct {
 	LowerBelow float64
 
 	level  cpu.Level
-	window *stats.LatencyTracker
+	window []float64 // sojourns completed since the last tick
 }
+
+// pegasusWindow caps the samples one tick's tail is taken over: at high
+// load a 100 ms tick completes more requests than this, and only the
+// most recent count.
+const pegasusWindow = 4096
 
 // NewPegasus returns the controller starting at max frequency.
 func NewPegasus(qos workload.QoS) *Pegasus {
@@ -147,7 +152,6 @@ func NewPegasus(qos workload.QoS) *Pegasus {
 		qos:        qos,
 		Interval:   100 * sim.Millisecond,
 		LowerBelow: 0.7,
-		window:     stats.NewLatencyTracker(4096, false),
 	}
 }
 
@@ -167,7 +171,8 @@ func (m *Pegasus) Attach(e *sim.Engine, s *server.Server) {
 
 func (m *Pegasus) tick(e *sim.Engine) {
 	e.After(m.Interval, "pegasus.tick", func(en *sim.Engine) {
-		if tail, ok := m.window.WindowPercentile(m.qos.Percentile); ok {
+		if n := len(m.window); n > 0 {
+			tail := stats.PercentileInPlace(m.window[max(0, n-pegasusWindow):], m.qos.Percentile)
 			target := float64(m.qos.Latency)
 			switch {
 			case tail > target:
@@ -181,12 +186,12 @@ func (m *Pegasus) tick(e *sim.Engine) {
 				c.SetLevel(en, m.level)
 			}
 		}
-		m.window.ResetWindow()
+		m.window = m.window[:0]
 		m.tick(en)
 	})
 }
 
 // Complete implements server.Hooks.
 func (m *Pegasus) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	m.window.Add(float64(r.Sojourn()))
+	m.window = append(m.window, float64(r.Sojourn()))
 }

@@ -342,7 +342,7 @@ func TestWorkConservationUnderLoad(t *testing.T) {
 	app := fixedApp{service: 2 * sim.Millisecond, cf: 0.8}
 	s := newServer(t, app, 4, nil)
 	e := sim.NewEngine()
-	tracker := stats.NewLatencyTracker(0, true)
+	var tracker stats.LatencyTracker
 	s.CompletedSink = func(_ *sim.Engine, r *workload.Request) {
 		tracker.Add(float64(r.Sojourn()))
 	}

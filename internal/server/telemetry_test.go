@@ -36,8 +36,8 @@ func TestTelemetryHooksMatchLatencyTracker(t *testing.T) {
 	}
 
 	e := sim.NewEngine()
-	tracker := stats.NewLatencyTracker(0, true)
-	svcTracker := stats.NewLatencyTracker(0, true)
+	var tracker stats.LatencyTracker
+	var svcTracker stats.LatencyTracker
 	s.CompletedSink = func(_ *sim.Engine, r *workload.Request) {
 		tracker.Add(float64(r.Sojourn()))
 		svcTracker.Add(float64(r.ServiceTime()))

@@ -311,10 +311,3 @@ func CDF(xs []float64, maxPoints int) []CDFPoint {
 	}
 	return pts
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

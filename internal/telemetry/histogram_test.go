@@ -98,7 +98,7 @@ func TestQuantileMatchesLatencyTracker(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			h := NewHistogram()
-			lt := stats.NewLatencyTracker(0, true)
+			var lt stats.LatencyTracker
 			for i := 0; i < 50000; i++ {
 				v := gen(rng)
 				h.Observe(v)

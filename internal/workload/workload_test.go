@@ -205,7 +205,7 @@ func TestOLTPNewOrderItemCount(t *testing.T) {
 func TestOLTPRollbackAddsTime(t *testing.T) {
 	a := NewShore()
 	rs := sampleN(t, a, 60000, 7)
-	var normal, rolled stats.Running
+	var normal, rolled stats.LatencyTracker
 	idxType, idxRb := FeatureIndex(a, "tx_type"), FeatureIndex(a, "rollback")
 	for _, r := range rs {
 		if int(r.Features[idxType]) != TxNewOrder {
@@ -217,8 +217,8 @@ func TestOLTPRollbackAddsTime(t *testing.T) {
 			normal.Add(float64(r.ServiceBase))
 		}
 	}
-	if rolled.N() < 50 {
-		t.Fatalf("rollback rate too low: %d samples", rolled.N())
+	if rolled.Count() < 50 {
+		t.Fatalf("rollback rate too low: %d samples", rolled.Count())
 	}
 	if rolled.Mean() <= normal.Mean() {
 		t.Fatalf("rollback mean %v ≤ normal mean %v", rolled.Mean(), normal.Mean())
