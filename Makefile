@@ -148,13 +148,15 @@ obs-check:
 
 # The ServeGen-class workload gate (DESIGN.md §13): per-arrival-process
 # statistical checks (mean rate, index of dispersion, diurnal phase),
-# the trace v2 header schema pin, and the fixed-seed cohort-spec sweep —
-# its rendered table (per-spec stats, per-SLO-class latency, canonical
-# trace and classed-decision SHA-256 hashes) byte-compared against the
-# committed golden, plus -parallel 1 vs 8 byte-identity. Every sweep
-# cell internally proves record→replay→re-record byte identity through
-# the simulator and classed decision parity through the live decider.
-WORKLOAD_TESTS       = 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema'
+# the Poisson client's pinned stream and rate-scale identity, the trace
+# v2 header schema pin and decode rejections, and the fixed-seed
+# cohort-spec sweep — its rendered table (per-spec stats, per-SLO-class
+# latency, canonical trace and classed-decision SHA-256 hashes)
+# byte-compared against the committed golden, plus -parallel 1 vs 8
+# byte-identity. Every sweep cell internally proves
+# record→replay→re-record byte identity through the simulator and
+# classed decision parity through the live decider.
+WORKLOAD_TESTS       = 'TestArrival|TestEnvelopePhase|TestSpecValidate|TestBuiltinSpecs|TestCohortDeterminism|TestTraceRoundTrip|TestTraceHeaderSchema|TestGenerator|TestPoissonStream|TestReadTrace'
 WORKLOAD_SWEEP_TESTS = 'TestWorkloadSweep'
 workload-check:
 	$(GO) test -count=1 -run $(WORKLOAD_TESTS) ./internal/workload

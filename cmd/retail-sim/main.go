@@ -103,12 +103,7 @@ func main() {
 	}
 	warmup := dur / 5
 	if run.Replay != nil && *duration <= 0 {
-		// Reproduce the recording's horizon: a stream recorded over
-		// warmup+duration = 1.2×duration spans that window, so split the
-		// trace's span 1:5 the same way.
-		span := sim.Duration(run.Replay.Records[len(run.Replay.Records)-1].Arrival)
-		warmup = span / 6
-		dur = span - warmup
+		warmup, dur = run.Replay.Window() // the recording's horizon
 	}
 
 	// Optional observers, installed through the core.Run instrument hook so

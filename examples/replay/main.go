@@ -1,9 +1,9 @@
 // Replay: the production calibration path. Instead of a synthetic
-// workload model, capture (features, service time) pairs from live
-// traffic, persist them as CSV, and drive the whole ReTail pipeline —
-// feature selection, per-frequency regression, power management — from
-// the recorded trace. The fitted model is also saved and reloaded, as a
-// deployment would do across restarts.
+// workload model, record (features, service time) from live traffic as
+// a v2 trace and drive the whole ReTail pipeline — feature selection,
+// per-frequency regression, power management — from the recorded trace.
+// The fitted model is also saved and reloaded, as a deployment would do
+// across restarts.
 //
 //	go run ./examples/replay
 package main
@@ -28,33 +28,23 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// 1. "Capture" a trace from the running service (here: the synthetic
-	//    Moses stands in for production traffic) and persist it.
-	src := workload.NewMoses()
-	samples := workload.CaptureReplay(src, 5000, 42)
-	tracePath := filepath.Join(dir, "moses_trace.csv")
-	f, err := os.Create(tracePath)
-	if err != nil {
+	// 1. Record a trace from the running service (here: the synthetic
+	//    Moses population stands in for production traffic) and persist
+	//    it in the v2 trace format.
+	src := workload.RecordTrace(workload.BuiltinSpec("steady-poisson").ScaledTo(1000), 42, 5)
+	tracePath := filepath.Join(dir, "moses.trace")
+	if err := src.WriteFile(tracePath); err != nil {
 		log.Fatal(err)
 	}
-	if err := workload.DumpReplayCSV(f, src.FeatureSpecs(), samples); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
 	st, _ := os.Stat(tracePath)
-	fmt.Printf("captured %d requests to %s (%d bytes)\n", len(samples), tracePath, st.Size())
+	fmt.Printf("recorded %d requests to %s (%d bytes)\n", len(src.Records), tracePath, st.Size())
 
-	// 2. Reload the trace and build a replay workload from it.
-	f, err = os.Open(tracePath)
+	// 2. Read the trace back and build a replay workload from it.
+	loaded, err := workload.ReadTraceFile(tracePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := workload.LoadReplayCSV(f, src.FeatureSpecs())
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	app, err := workload.NewReplayApp("moses-trace", src.QoS(), src.FeatureSpecs(), loaded, 0.80)
+	app, err := workload.NewReplayApp("moses-trace", loaded)
 	if err != nil {
 		log.Fatal(err)
 	}

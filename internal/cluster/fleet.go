@@ -66,15 +66,12 @@ type FleetConfig struct {
 	Duration sim.Duration // measurement window
 	Seed     int64
 
-	// Spec, when non-nil, drives the fleet with the cohort population
-	// instead of the single Poisson generator (see core.RunConfig.Spec
-	// for the contract: single-app, matching Cal.App; RPS > 0 rescales).
-	// Per-SLO-class QoS′ targets from the spec's class table install on
-	// every node's manager that exposes SetClassTargets.
-	Spec *workload.Spec
-	// Record taps every generated arrival (pre-routing, warmup included)
-	// into the trace; Replay substitutes a recorded stream for any
-	// generator. Mutually exclusive with Spec, same rules as core.Run.
+	// Spec, Replay and Record complete the request source with RPS,
+	// exactly as in core.RunConfig (workload.Source holds the rules).
+	// Record taps arrivals before routing. A Spec's or Replay's class
+	// table installs per-SLO-class QoS′ targets on every node's manager
+	// that exposes SetClassTargets.
+	Spec   *workload.Spec
 	Record *workload.Trace
 	Replay *workload.Trace
 
@@ -217,30 +214,12 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("cluster: need positive Duration")
 	}
-	if cfg.RPS <= 0 && cfg.Spec == nil && cfg.Replay == nil {
-		return nil, fmt.Errorf("cluster: need positive RPS (or a Spec/Replay source)")
+	src := workload.Source{RPS: cfg.RPS, Spec: cfg.Spec, Replay: cfg.Replay, Record: cfg.Record}
+	stream, err := src.Open(cfg.Cal.App, cfg.Seed, cfg.Warmup+cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if cfg.Spec != nil && cfg.Replay != nil {
-		return nil, fmt.Errorf("cluster: Spec and Replay are mutually exclusive")
-	}
-	var classScales []float64
-	switch {
-	case cfg.Replay != nil:
-		apps := cfg.Replay.Header.Apps
-		if len(apps) != 1 || apps[0] != cfg.Cal.App.Name() {
-			return nil, fmt.Errorf("cluster: replay trace apps %v do not match app %q", apps, cfg.Cal.App.Name())
-		}
-		classScales = cfg.Replay.Header.Scales
-	case cfg.Spec != nil:
-		specApp, err := cfg.Spec.SingleApp()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		if specApp.Name() != cfg.Cal.App.Name() {
-			return nil, fmt.Errorf("cluster: spec %q targets app %q, fleet serves %q", cfg.Spec.Name, specApp.Name(), cfg.Cal.App.Name())
-		}
-		_, classScales = cfg.Spec.Classes()
-	}
+	classScales := stream.Scales
 	if len(classScales) == 0 {
 		classScales = cfg.Params.ClassScales
 	}
@@ -282,22 +261,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	pool := &workload.RequestPool{}
 	measuring := false
 	var fleetLat stats.LatencyTracker
-	// Resolve the effective offered load up front: it sizes the latency
-	// buffers and is what the result reports.
-	spec := cfg.Spec
-	if spec != nil && cfg.RPS > 0 {
-		spec = spec.ScaledTo(cfg.RPS)
-	}
-	rps := cfg.RPS
-	if spec != nil {
-		rps = spec.TotalRPS()
-	}
-	if cfg.Replay != nil {
-		rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
-	}
 	// Expected completions during the measured window; presizing the
 	// trackers spares their append-doubling reallocations.
-	expect := int(rps*float64(cfg.Duration)) + 64
+	expect := int(stream.RPS*float64(cfg.Duration)) + 64
 	fleetLat.Reserve(expect)
 	levels := platform.Grid.Levels()
 
@@ -374,28 +340,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		nodes[i].srv.Submit(en, r)
 	}
 
-	sink := route
-	if cfg.Record != nil {
-		sink = cfg.Record.RecordSink(sink)
-	}
-	var stopGen func()
-	switch {
-	case cfg.Replay != nil:
-		pl := workload.NewPlayer(cfg.Replay, sink)
-		pl.Pool = pool
-		pl.Start(e)
-		stopGen = pl.Stop
-	case spec != nil:
-		cg := workload.NewCohortGenerator(spec, cfg.Seed, sink)
-		cg.Pool = pool
-		cg.Start(e)
-		stopGen = cg.Stop
-	default:
-		gen := workload.NewGenerator(app, cfg.RPS, cfg.Seed, sink)
-		gen.Pool = pool
-		gen.Start(e)
-		stopGen = gen.Stop
-	}
+	stopGen := stream.Start(e, route, pool)
 	e.At(cfg.Warmup, "fleet.measure", func(en *sim.Engine) {
 		measuring = true
 		for _, n := range nodes {
@@ -416,7 +361,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		Dispatcher:    disp.Name(),
 		Policy:        cfg.Policy,
 		Nodes:         cfg.Nodes,
-		RPS:           rps,
+		RPS:           stream.RPS,
 		QoSTarget:     float64(qos.Latency),
 		Residency:     make([]int, levels),
 		PlacementHash: hash,

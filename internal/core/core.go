@@ -452,22 +452,14 @@ type RunConfig struct {
 	Warmup   sim.Duration // excluded from all measurements
 	Duration sim.Duration // measurement window
 	Seed     int64
-	// Spec, when non-nil, replaces the single Poisson generator with the
-	// spec's full client population (cohorts × arrival processes ×
-	// envelopes; see workload.Spec). The spec must be single-app and match
-	// App. RPS > 0 rescales the spec's aggregate rate (ScaledTo); RPS 0
-	// runs the spec's own rates. The spec's class table installs per-SLO-
-	// class QoS′ targets on any manager exposing SetClassTargets.
-	Spec *workload.Spec
-	// Record, when non-nil, taps every generated arrival into the trace
-	// (workload.Trace.RecordSink) on its way to the server — warmup
-	// included, so a replayed trace reproduces the whole run.
+	// Spec, Replay and Record complete the request source with RPS:
+	// the Poisson client at RPS, a cohort Spec (RPS > 0 rescales it) or a
+	// recorded Replay, optionally tapped into Record (warmup included).
+	// workload.Source holds the rules; a Spec's or Replay's class table
+	// installs per-SLO-class QoS′ targets on any manager exposing
+	// SetClassTargets.
+	Spec   *workload.Spec
 	Record *workload.Trace
-	// Replay, when non-nil, substitutes the recorded stream for any
-	// generator: arrivals, features and service demands come from the
-	// trace bit-for-bit and no workload RNG is consumed. Mutually
-	// exclusive with Spec; the trace's class table installs per-SLO-class
-	// targets exactly as a spec's would.
 	Replay *workload.Trace
 	// CollectSamples retains per-request (level, features, service)
 	// samples from the measurement window for offline RMSE evaluation.
@@ -544,33 +536,14 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("core: RunConfig needs positive Duration")
 	}
-	if cfg.RPS <= 0 && cfg.Spec == nil && cfg.Replay == nil {
-		return nil, fmt.Errorf("core: RunConfig needs positive RPS (or a Spec/Replay source)")
-	}
-	if cfg.Spec != nil && cfg.Replay != nil {
-		return nil, fmt.Errorf("core: Spec and Replay are mutually exclusive")
+	src := workload.Source{RPS: cfg.RPS, Spec: cfg.Spec, Replay: cfg.Replay, Record: cfg.Record}
+	stream, err := src.Open(cfg.App, cfg.Seed, cfg.Warmup+cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	// The workload source's class table, when present, drives per-class
 	// QoS′ targets and per-class reporting.
-	var classNames []string
-	var classScales []float64
-	switch {
-	case cfg.Replay != nil:
-		apps := cfg.Replay.Header.Apps
-		if len(apps) != 1 || apps[0] != cfg.App.Name() {
-			return nil, fmt.Errorf("core: replay trace apps %v do not match app %q", apps, cfg.App.Name())
-		}
-		classNames, classScales = cfg.Replay.Header.Classes, cfg.Replay.Header.Scales
-	case cfg.Spec != nil:
-		specApp, err := cfg.Spec.SingleApp()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if specApp.Name() != cfg.App.Name() {
-			return nil, fmt.Errorf("core: spec %q targets app %q, run configured for %q", cfg.Spec.Name, specApp.Name(), cfg.App.Name())
-		}
-		classNames, classScales = cfg.Spec.Classes()
-	}
+	classNames, classScales := stream.Classes, stream.Scales
 	if len(classScales) > 0 {
 		if ct, ok := cfg.Manager.(interface{ SetClassTargets(policy.ClassTargets) }); ok {
 			ct.SetClassTargets(policy.NewClassTargets(classScales))
@@ -636,34 +609,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		}
 	}
 
-	sink := srv.Submit
-	if cfg.Record != nil {
-		sink = cfg.Record.RecordSink(sink)
-	}
-	rps := cfg.RPS
-	var stopGen func()
-	switch {
-	case cfg.Replay != nil:
-		pl := workload.NewPlayer(cfg.Replay, sink)
-		pl.Start(e)
-		stopGen = pl.Stop
-		if rps <= 0 && cfg.Duration > 0 {
-			rps = float64(len(cfg.Replay.Records)) / float64(cfg.Warmup+cfg.Duration)
-		}
-	case cfg.Spec != nil:
-		spec := cfg.Spec
-		if cfg.RPS > 0 {
-			spec = spec.ScaledTo(cfg.RPS)
-		}
-		cg := workload.NewCohortGenerator(spec, cfg.Seed, sink)
-		cg.Start(e)
-		stopGen = cg.Stop
-		rps = spec.TotalRPS()
-	default:
-		gen := workload.NewGenerator(cfg.App, cfg.RPS, cfg.Seed, sink)
-		gen.Start(e)
-		stopGen = gen.Stop
-	}
+	stopGen := stream.Start(e, srv.Submit, nil)
 	for _, ev := range cfg.Events {
 		ev := ev
 		e.At(ev.At, "core.event", func(en *sim.Engine) { ev.Do(en, srv) })
@@ -679,7 +625,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	res := &Result{
 		Manager:     cfg.Manager.Name(),
 		App:         cfg.App.Name(),
-		RPS:         rps,
+		RPS:         stream.RPS,
 		AvgPowerW:   srv.Socket.AveragePowerW(end),
 		EnergyJ:     srv.Socket.EnergyJoules(end),
 		Completed:   lat.Count(),

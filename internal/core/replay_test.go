@@ -11,9 +11,10 @@ import (
 // find the same features and ReTail must manage the replayed service
 // within QoS at lower power than the default system.
 func TestPipelineOnReplayedTrace(t *testing.T) {
-	src := workload.NewXapian()
-	samples := workload.CaptureReplay(src, 3000, 9)
-	app, err := workload.NewReplayApp("xapian-trace", src.QoS(), src.FeatureSpecs(), samples, 0.70)
+	capture := &workload.Spec{Version: workload.SpecVersion, Name: "xapian-capture", Seed: 9,
+		Cohorts: []workload.CohortSpec{{App: "xapian", Clients: 1, RPS: 1000,
+			Arrival: workload.ArrivalSpec{Kind: workload.ArrivalPoisson}, Class: "standard"}}}
+	app, err := workload.NewReplayApp("xapian-trace", workload.RecordTrace(capture, 9, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,24 +228,18 @@ func chaosRunOnce(cfg Config, cal *core.Calibration, mgrName string, rps float64
 		}
 	}
 
-	var stopGen func()
-	var setBurst func(factor float64)
+	var gen *workload.Generator
 	if spec != nil {
-		gen := workload.NewCohortGenerator(spec, cfg.Seed+5, srv.Submit)
-		gen.Start(e)
-		stopGen = gen.Stop
-		setBurst = gen.SetRateScale
+		gen = workload.NewCohortGenerator(spec, cfg.Seed+5, srv.Submit)
 	} else {
-		gen := workload.NewGenerator(app, rps, cfg.Seed+5, srv.Submit)
-		gen.Start(e)
-		stopGen = gen.Stop
-		setBurst = func(factor float64) { gen.SetRPS(rps * factor) }
+		gen = workload.NewGenerator(app, rps, cfg.Seed+5, srv.Submit)
 	}
+	gen.Start(e)
 	if plan != nil {
 		if b := plan.Burst; b != nil && b.Factor > 0 {
 			factor := b.Factor
-			e.At(sim.Time(b.From), "chaos.burst", func(en *sim.Engine) { setBurst(factor) })
-			e.At(sim.Time(b.Until), "chaos.burst-end", func(en *sim.Engine) { setBurst(1) })
+			e.At(sim.Time(b.From), "chaos.burst", func(en *sim.Engine) { gen.SetRateScale(factor) })
+			e.At(sim.Time(b.Until), "chaos.burst-end", func(en *sim.Engine) { gen.SetRateScale(1) })
 		}
 		if d := plan.Drift; d != nil && d.Factor > 0 {
 			factor := d.Factor
@@ -265,7 +259,7 @@ func chaosRunOnce(cfg Config, cal *core.Calibration, mgrName string, rps float64
 		srv.Socket.ResetEnergy(en.Now())
 	})
 	e.Run(horizon)
-	stopGen()
+	gen.Stop()
 
 	qos := app.QoS()
 	run := &chaosRun{

@@ -187,11 +187,7 @@ func FleetSweep(cfg Config, opt FleetOptions) (*FleetSweepResult, error) {
 				dur := sim.Duration(float64(opt.RequestsPerCell) / rps)
 				warmup := dur / 5
 				if opt.Replay != nil {
-					// Reproduce the recording's horizon (1:5 warmup split,
-					// as in core's replay path).
-					span := sim.Duration(opt.Replay.Records[len(opt.Replay.Records)-1].Arrival)
-					warmup = span / 6
-					dur = span - warmup
+					warmup, dur = opt.Replay.Window() // the recording's horizon
 				}
 				cells = append(cells, SweepCell[*cluster.FleetResult]{
 					Label: fmt.Sprintf("fleet/%s/load=%.2f/%s/%s", app.Name(), lf, d, pol),

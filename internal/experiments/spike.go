@@ -88,8 +88,8 @@ func LoadSpike(cfg Config, appName string) (*LoadSpikeResult, error) {
 	gen.Start(e)
 
 	const spikeStart, spikeEnd, horizon = 4.0, 7.0, 16.0
-	e.At(spikeStart, "spike-on", func(*sim.Engine) { gen.SetRPS(spikeRPS) })
-	e.At(spikeEnd, "spike-off", func(*sim.Engine) { gen.SetRPS(baseRPS) })
+	e.At(spikeStart, "spike-on", func(*sim.Engine) { gen.SetRateScale(spikeRPS / baseRPS) })
+	e.At(spikeEnd, "spike-off", func(*sim.Engine) { gen.SetRateScale(1) })
 	e.Run(horizon)
 	gen.Stop()
 

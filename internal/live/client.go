@@ -54,7 +54,9 @@ func demoBase(app workload.App, features []float64) sim.Duration {
 	}
 }
 
-// ClientConfig drives an open-loop load test against a live server.
+// ClientConfig drives a load test against a live server. RunClient is
+// closed-loop per connection: each connection waits for its response
+// before the next send (RunLoad is the open-loop generator).
 type ClientConfig struct {
 	Addr     string
 	App      workload.App

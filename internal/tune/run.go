@@ -132,11 +132,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Reproduce the recording's horizon the same way retail-sim -replay
-	// does: a stream recorded over warmup+duration = 1.2×duration spans
-	// that window, so split the trace's span 1:5.
-	span := sim.Duration(cfg.Trace.Records[len(cfg.Trace.Records)-1].Arrival)
-	warmup := span / 6
-	dur := span - warmup
+	// does.
+	warmup, dur := cfg.Trace.Window()
 
 	cells := make([]experiments.SweepCell[*core.Result], len(cands))
 	for i, cand := range cands {

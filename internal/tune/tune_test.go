@@ -10,7 +10,6 @@ import (
 	"retail/internal/core"
 	"retail/internal/golden"
 	"retail/internal/policy"
-	"retail/internal/sim"
 	"retail/internal/workload"
 )
 
@@ -230,10 +229,10 @@ func TestTuneGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := sim.Duration(trace.Records[len(trace.Records)-1].Arrival)
+	warmup, dur := trace.Window()
 	res, err := core.Run(core.RunConfig{
 		App: cal.App, Platform: plat, Manager: m,
-		Replay: trace, Warmup: span / 6, Duration: span - span/6,
+		Replay: trace, Warmup: warmup, Duration: dur,
 		Seed: fixtureSeed,
 	})
 	if err != nil {

@@ -1,84 +1,180 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 
 	"retail/internal/sim"
 )
 
-// Generator produces an open-loop Poisson request stream for one
-// application, matching the paper's Tailbench client: inter-arrival times
-// are exponential so requests are sent independently of the server's state
-// (§VII-A). Each generated request carries its client generation timestamp
-// (t1) in Gen.
+// Generator runs a client population against one sim engine. Every
+// client is an independent open-loop arrival process with a private RNG
+// stream, so requests are sent regardless of the server's state
+// (§VII-A); the merged stream is deterministic because the engine is
+// single-threaded and FIFO-stable at equal timestamps, and every random
+// draw is attributable to exactly one (client, call-index) pair. Request
+// IDs are assigned globally in arrival order, Gen carries the client
+// generation timestamp (t1), and SLOClass indexes the spec's class
+// table. NewGenerator builds the paper's Tailbench client as the
+// one-client case; NewCohortGenerator builds a Spec's population.
 type Generator struct {
-	App  App
-	RPS  float64
-	rng  *rand.Rand
-	next uint64
 	// Sink receives each request at its arrival time.
 	Sink func(e *sim.Engine, r *Request)
-
 	// Pool, when set, supplies recycled Request nodes for apps that
 	// implement InPlaceGenerator; the sink's owner returns finished
-	// requests with Pool.Put. Requests then carry identical values to the
-	// allocate-per-request path (the RNG call sequence is shared), so
-	// enabling a pool never changes simulation results — only allocation
-	// counts. Apps without GenerateInto fall back to Generate.
+	// requests with Pool.Put. The pooled and unpooled paths share the RNG
+	// call sequence, so enabling a pool never changes the stream — only
+	// allocation counts. Apps without GenerateInto fall back to Generate.
 	Pool *RequestPool
 
-	inPlace InPlaceGenerator // App's fast path, resolved once
-	arrive  func(*sim.Engine, any)
-	stopped bool
+	clients []*client
+	next    uint64
+	// rateScale multiplies every client's instantaneous rate; load spikes
+	// and chaos overload windows use it on top of the clients' own
+	// arrival processes, so bursts compose with (rather than replace)
+	// MMPP correlation.
+	rateScale float64
+	stopped   bool
 }
 
-// NewGenerator returns a generator with its own deterministic RNG stream.
+// client is one member of the population: its own RNG, arrival-process
+// state, base rate and envelope.
+type client struct {
+	owner    *Generator
+	app      App
+	inPlace  InPlaceGenerator
+	rng      *rand.Rand
+	proc     arrivalProcess
+	baseRate float64
+	envelope []EnvelopePeriod
+	class    uint8
+	arrive   func(*sim.Engine, any)
+}
+
+// NewGenerator returns the paper's open-loop Poisson client for one
+// application at rps. It is the one-client population, seeded directly
+// with rand.NewSource(seed) (no splitmix mixing), at class 0 with no
+// envelope: baseRate·rateScale·EnvelopeAt(nil, t) is exactly rps and the
+// RNG call order is one ExpFloat64 per gap then the app's draws, so the
+// stream is bit-identical to the dedicated single-client generator this
+// type replaced (TestPoissonStreamPinned).
 func NewGenerator(app App, rps float64, seed int64, sink func(*sim.Engine, *Request)) *Generator {
-	g := &Generator{App: app, RPS: rps, rng: rand.New(rand.NewSource(seed)), Sink: sink}
-	g.inPlace, _ = app.(InPlaceGenerator)
-	g.arrive = func(en *sim.Engine, _ any) { g.onArrival(en) }
+	g := &Generator{Sink: sink, rateScale: 1}
+	g.add(app, rand.New(rand.NewSource(seed)), poissonArrival{}, rps, nil, 0)
 	return g
 }
 
-// Start schedules the first arrival. Arrivals continue until Stop or until
-// the engine's horizon ends.
+// NewCohortGenerator builds the population for a validated spec. seed is
+// the run seed: it is mixed with the spec's own seed and each client's
+// (cohort, client) index through splitmix64, so every client draws from a
+// decorrelated stream and the whole run is reproducible from (spec, seed).
+func NewCohortGenerator(spec *Spec, seed int64, sink func(*sim.Engine, *Request)) *Generator {
+	g := &Generator{Sink: sink, rateScale: 1}
+	names, _ := spec.Classes()
+	classIdx := map[string]uint8{}
+	for i, n := range names {
+		classIdx[n] = uint8(i)
+	}
+	base := splitmix64(uint64(seed) ^ splitmix64(uint64(spec.Seed)))
+	for ci, c := range spec.Cohorts {
+		app := ByName(c.App)
+		rates := clientRates(c.RPS, c.Clients, c.RateSkew)
+		cohortBase := splitmix64(base + uint64(ci))
+		for ki := 0; ki < c.Clients; ki++ {
+			rng := rand.New(rand.NewSource(int64(splitmix64(cohortBase + uint64(ki)))))
+			g.add(app, rng, newArrival(c.Arrival), rates[ki], c.Envelope, classIdx[c.Class])
+		}
+	}
+	return g
+}
+
+func (g *Generator) add(app App, rng *rand.Rand, proc arrivalProcess, rate float64, env []EnvelopePeriod, class uint8) {
+	cl := &client{owner: g, app: app, rng: rng, proc: proc, baseRate: rate, envelope: env, class: class}
+	cl.inPlace, _ = app.(InPlaceGenerator)
+	cl.arrive = func(en *sim.Engine, _ any) { cl.onArrival(en) }
+	g.clients = append(g.clients, cl)
+}
+
+// clientRates splits a cohort's aggregate rate across clients by a Zipf
+// weight (i+1)^-skew — skew 0 splits evenly, larger skews concentrate
+// load on the first clients.
+func clientRates(total float64, clients int, skew float64) []float64 {
+	weights := make([]float64, clients)
+	sum := 0.0
+	for i := range weights {
+		weights[i] = math.Pow(float64(i+1), -skew)
+		sum += weights[i]
+	}
+	for i := range weights {
+		weights[i] = total * weights[i] / sum
+	}
+	return weights
+}
+
+// Start schedules every client's first arrival. Arrivals continue until
+// Stop or until the engine's horizon ends.
 func (g *Generator) Start(e *sim.Engine) {
-	g.scheduleNext(e)
+	for _, cl := range g.clients {
+		cl.scheduleNext(e)
+	}
 }
 
 // Stop halts future arrivals (already-scheduled ones may still fire once).
 func (g *Generator) Stop() { g.stopped = true }
 
-// SetRPS changes the arrival rate for subsequent gaps (load ramps).
-func (g *Generator) SetRPS(rps float64) { g.RPS = rps }
+// SetRateScale multiplies every client's instantaneous rate for
+// subsequent gaps (load spikes, overload windows) without disturbing
+// per-client arrival-process state.
+func (g *Generator) SetRateScale(f float64) { g.rateScale = f }
 
-func (g *Generator) scheduleNext(e *sim.Engine) {
-	if g.stopped || g.RPS <= 0 {
+func (cl *client) scheduleNext(e *sim.Engine) {
+	g := cl.owner
+	if g.stopped {
 		return
 	}
-	gap := sim.Duration(g.rng.ExpFloat64() / g.RPS)
-	e.AfterCall(gap, "workload.arrival", g.arrive, nil)
+	// The envelope modulates the instantaneous rate: each gap is drawn at
+	// the rate in force at its start (a piecewise-constant approximation
+	// of the non-homogeneous process — exact in the limit of gaps short
+	// against the envelope period, and deterministic regardless).
+	rate := cl.baseRate * g.rateScale * EnvelopeAt(cl.envelope, float64(e.Now()))
+	if rate <= 0 {
+		return
+	}
+	gap := sim.Duration(cl.proc.NextGap(cl.rng, rate))
+	e.AfterCall(gap, "workload.arrival", cl.arrive, nil)
 }
 
-func (g *Generator) onArrival(en *sim.Engine) {
+func (cl *client) onArrival(en *sim.Engine) {
+	g := cl.owner
 	if g.stopped {
 		return
 	}
 	var r *Request
-	if g.Pool != nil && g.inPlace != nil {
+	if g.Pool != nil && cl.inPlace != nil {
 		r = g.Pool.Get()
-		g.inPlace.GenerateInto(r, g.rng)
+		cl.inPlace.GenerateInto(r, cl.rng)
 	} else {
-		r = g.App.Generate(g.rng)
+		r = cl.app.Generate(cl.rng)
 	}
 	r.ID = g.next
 	g.next++
 	r.Gen = en.Now()
+	r.SLOClass = cl.class
 	if g.Sink != nil {
 		g.Sink(en, r)
 	}
-	g.scheduleNext(en)
+	cl.scheduleNext(en)
+}
+
+// splitmix64 is the SplitMix64 output function — a cheap, well-mixed way
+// to derive decorrelated per-client seeds from one run seed without
+// importing anything.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,55 +2,143 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"retail/internal/sim"
 	"retail/internal/stats"
 )
 
+// recordMoses records the builtin steady-poisson population (moses)
+// scaled to rps over horizon seconds.
+func recordMoses(rps float64, horizon sim.Duration) *Trace {
+	return RecordTrace(BuiltinSpec("steady-poisson").ScaledTo(rps), 1, horizon)
+}
+
+// TestReadTraceRejectsBadRecords: a record whose feature count differs
+// from its app's, whose arrival is non-finite, negative or out of order,
+// whose service demand is non-finite or not positive, or whose compute
+// fraction leaves [0,1] must fail the decode — replaying it would index
+// past the feature vector or corrupt the event order.
+func TestReadTraceRejectsBadRecords(t *testing.T) {
+	base := recordMoses(400, 0.5)
+	if len(base.Records) < 10 {
+		t.Fatalf("recording too short: %d records", len(base.Records))
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(recs []TraceRecord)
+	}{
+		{"no features", func(r []TraceRecord) {
+			for i := range r {
+				r[i].Features = nil
+			}
+		}},
+		{"extra feature", func(r []TraceRecord) { r[3].Features = append(append([]float64(nil), r[3].Features...), 1) }},
+		{"NaN arrival", func(r []TraceRecord) { r[3].Arrival = sim.Time(nan) }},
+		{"infinite arrival", func(r []TraceRecord) { r[len(r)-1].Arrival = sim.Time(inf) }},
+		{"negative arrival", func(r []TraceRecord) { r[0].Arrival = -1e-3 }},
+		{"arrival before previous", func(r []TraceRecord) { r[3].Arrival = r[2].Arrival / 2 }},
+		{"zero service", func(r []TraceRecord) { r[3].ServiceBase = 0 }},
+		{"negative service", func(r []TraceRecord) { r[3].ServiceBase = -1e-3 }},
+		{"NaN service", func(r []TraceRecord) { r[3].ServiceBase = sim.Duration(nan) }},
+		{"infinite service", func(r []TraceRecord) { r[3].ServiceBase = sim.Duration(inf) }},
+		{"negative compute fraction", func(r []TraceRecord) { r[3].ComputeFrac = -0.1 }},
+		{"compute fraction above 1", func(r []TraceRecord) { r[3].ComputeFrac = 1.5 }},
+		{"NaN compute fraction", func(r []TraceRecord) { r[3].ComputeFrac = nan }},
+	}
+	decode := func(tr *Trace) error {
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadTrace(&buf)
+		return err
+	}
+	if err := decode(base); err != nil {
+		t.Fatalf("valid recording rejected: %v", err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *base
+			bad.Records = append([]TraceRecord(nil), base.Records...)
+			c.mutate(bad.Records)
+			if err := decode(&bad); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+	}
+	// Apps this build does not know have no feature width to check.
+	custom := *base
+	custom.Header.Apps = []string{"custom"}
+	custom.Records = append([]TraceRecord(nil), base.Records...)
+	custom.Records[3].Features = nil
+	if err := decode(&custom); err != nil {
+		t.Fatalf("unknown-app trace rejected: %v", err)
+	}
+}
+
+func TestTraceWindow(t *testing.T) {
+	tr := recordMoses(400, 1.2)
+	warmup, dur := tr.Window()
+	span := sim.Duration(tr.Records[len(tr.Records)-1].Arrival)
+	if warmup != span/6 || dur != span-span/6 {
+		t.Fatalf("Window = %v, %v for span %v", warmup, dur, span)
+	}
+	if w, d := (&Trace{}).Window(); w != 0 || d != 0 {
+		t.Fatalf("empty trace Window = %v, %v", w, d)
+	}
+}
+
 func TestReplayAppValidation(t *testing.T) {
-	specs := []FeatureSpec{{Name: "x", Kind: Numerical}}
-	qos := QoS{Latency: 1, Percentile: 99}
-	if _, err := NewReplayApp("r", qos, specs, nil, 0.8); err == nil {
+	tr := recordMoses(400, 0.5)
+	empty := *tr
+	empty.Records = nil
+	if _, err := NewReplayApp("r", &empty); err == nil {
 		t.Fatal("empty trace accepted")
 	}
-	bad := []ReplaySample{{Features: []float64{1, 2}, Service: 1}}
-	if _, err := NewReplayApp("r", qos, specs, bad, 0.8); err == nil {
-		t.Fatal("feature-width mismatch accepted")
+	bad := map[string]func(*TraceRecord){
+		"feature width":    func(r *TraceRecord) { r.Features = r.Features[:1] },
+		"negative service": func(r *TraceRecord) { r.ServiceBase = -1 },
+		"compute fraction": func(r *TraceRecord) { r.ComputeFrac = 2 },
 	}
-	neg := []ReplaySample{{Features: []float64{1}, Service: -1}}
-	if _, err := NewReplayApp("r", qos, specs, neg, 0.8); err == nil {
-		t.Fatal("negative service accepted")
+	for name, mutate := range bad {
+		b := *tr
+		b.Records = append([]TraceRecord(nil), tr.Records...)
+		mutate(&b.Records[1])
+		if _, err := NewReplayApp("r", &b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	ok := []ReplaySample{{Features: []float64{1}, Service: 1e-3}}
-	if _, err := NewReplayApp("r", qos, specs, ok, 2); err == nil {
-		t.Fatal("compute fraction 2 accepted")
-	}
-	app, err := NewReplayApp("r", qos, specs, ok, 0.8)
+	app, err := NewReplayApp("r", tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app.Name() != "r" || app.Len() != 1 || len(app.FeatureSpecs()) != 1 {
+	src := NewMoses()
+	if app.Name() != "r" || app.Len() != len(tr.Records) || len(app.FeatureSpecs()) != len(src.FeatureSpecs()) || app.QoS() != src.QoS() {
 		t.Fatal("accessors broken")
 	}
 }
 
 func TestReplayPreservesDistribution(t *testing.T) {
-	src := NewMoses()
-	samples := CaptureReplay(src, 4000, 1)
-	app, err := NewReplayApp("moses-replay", src.QoS(), src.FeatureSpecs(), samples, 0.8)
+	tr := recordMoses(1000, 4)
+	app, err := NewReplayApp("moses-replay", tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	var orig, rep []float64
-	for _, s := range samples {
-		orig = append(orig, float64(s.Service))
+	for _, r := range tr.Records {
+		orig = append(orig, float64(r.ServiceBase))
 	}
-	for i := 0; i < 4000; i++ {
-		rep = append(rep, float64(app.Generate(rng).ServiceBase))
+	for range orig {
+		r := app.Generate(rng)
+		rep = append(rep, float64(r.ServiceBase))
+		if r.ComputeFrac != tr.Records[0].ComputeFrac {
+			t.Fatalf("compute fraction %v, recorded %v", r.ComputeFrac, tr.Records[0].ComputeFrac)
+		}
 	}
 	for _, p := range []float64{50, 90, 99} {
 		a, b := stats.Percentile(orig, p), stats.Percentile(rep, p)
@@ -59,7 +147,7 @@ func TestReplayPreservesDistribution(t *testing.T) {
 		}
 	}
 	// Feature→latency correlation survives the round trip.
-	idx := FeatureIndex(src, "word_count")
+	idx := FeatureIndex(NewMoses(), "word_count")
 	var xs, ys []float64
 	for i := 0; i < 2000; i++ {
 		r := app.Generate(rng)
@@ -72,63 +160,16 @@ func TestReplayPreservesDistribution(t *testing.T) {
 }
 
 func TestReplayGenerateCopiesFeatures(t *testing.T) {
-	specs := []FeatureSpec{{Name: "x", Kind: Numerical}}
-	samples := []ReplaySample{{Features: []float64{5}, Service: 1e-3}}
-	app, _ := NewReplayApp("r", QoS{Latency: 1, Percentile: 99}, specs, samples, 1)
-	rng := rand.New(rand.NewSource(1))
-	r := app.Generate(rng)
-	r.Features[0] = 99
-	if samples[0].Features[0] != 5 {
+	tr := recordMoses(400, 0.1)
+	tr.Records = tr.Records[:1]
+	want := tr.Records[0].Features[0]
+	app, err := NewReplayApp("r", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := app.Generate(rand.New(rand.NewSource(1)))
+	r.Features[0] = want + 99
+	if tr.Records[0].Features[0] != want {
 		t.Fatal("Generate aliased trace storage")
-	}
-}
-
-func TestReplayCSVRoundTrip(t *testing.T) {
-	src := NewXapian()
-	samples := CaptureReplay(src, 50, 3)
-	var buf bytes.Buffer
-	if err := DumpReplayCSV(&buf, src.FeatureSpecs(), samples); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadReplayCSV(&buf, src.FeatureSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("round trip lost samples: %d", len(got))
-	}
-	for i := range got {
-		if got[i].Service != samples[i].Service {
-			t.Fatalf("sample %d service %v vs %v", i, got[i].Service, samples[i].Service)
-		}
-		for j := range got[i].Features {
-			if got[i].Features[j] != samples[i].Features[j] {
-				t.Fatalf("sample %d feature %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestLoadReplayCSVErrors(t *testing.T) {
-	specs := []FeatureSpec{{Name: "x", Kind: Numerical}}
-	cases := []string{
-		"",                         // no header
-		"service_s,y\n1e-3,2\n",    // wrong feature name
-		"service_s\n1e-3\n",        // missing feature column
-		"service_s,x\nnotanum,2\n", // bad service
-		"service_s,x\n1e-3,nope\n", // bad feature
-	}
-	for i, c := range cases {
-		if _, err := LoadReplayCSV(strings.NewReader(c), specs); err == nil {
-			t.Errorf("case %d accepted: %q", i, c)
-		}
-	}
-	good := "service_s,x\n0.001,42\n"
-	got, err := LoadReplayCSV(strings.NewReader(good), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Service != sim.Duration(0.001) || got[0].Features[0] != 42 {
-		t.Fatalf("parsed %+v", got)
 	}
 }

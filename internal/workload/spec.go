@@ -19,11 +19,11 @@ const SpecVersion = 1
 // population: N cohorts, each a group of clients sharing an application,
 // an SLO class, an arrival process and a rate envelope, with a skewed
 // per-client rate split inside the cohort. A Spec plus a seed fully
-// determines the merged request stream (see CohortGenerator).
+// determines the merged request stream (see NewCohortGenerator).
 type Spec struct {
 	Version int    `json:"version"`
 	Name    string `json:"name"`
-	// Seed drives every client's RNG stream; CohortGenerator derives one
+	// Seed drives every client's RNG stream; NewCohortGenerator derives one
 	// decorrelated sub-stream per (cohort, client) via splitmix64.
 	Seed    int64        `json:"seed"`
 	Cohorts []CohortSpec `json:"cohorts"`
@@ -144,15 +144,19 @@ func (s *Spec) Apps() []string {
 	return names
 }
 
-// SingleApp returns the spec's app when every cohort shares one, or an
-// error — the single-node runtimes (retail-sim, retail-live) serve one
-// application.
+// SingleApp returns the spec's app when every cohort shares one known
+// app, or an error — the single-node runtimes (retail-sim, retail-live)
+// serve one application.
 func (s *Spec) SingleApp() (App, error) {
 	apps := s.Apps()
 	if len(apps) != 1 {
 		return nil, fmt.Errorf("workload: spec %q spans %d apps %v; this runtime serves one", s.Name, len(apps), apps)
 	}
-	return ByName(apps[0]), nil
+	app := ByName(apps[0])
+	if app == nil {
+		return nil, fmt.Errorf("workload: spec %q app %q unknown", s.Name, apps[0])
+	}
+	return app, nil
 }
 
 // TotalRPS sums cohort mean rates.

@@ -209,8 +209,9 @@ func (t *Trace) WriteFile(path string) error {
 }
 
 // ReadTrace strict-decodes a v2 trace: unknown header fields, a wrong
-// magic or version, out-of-range table indices and truncated records are
-// all errors — recorded corpora must fail loudly, not skew silently.
+// magic or version, out-of-range table indices, truncated records and
+// records checkRecord rejects are all errors — recorded corpora must
+// fail loudly, not skew silently or crash the replay.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
@@ -249,6 +250,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
+	widths := featureWidths(hdr.Apps)
+	var prev sim.Time
 	t.Records = make([]TraceRecord, 0, min(hdr.Records, maxTracePrealloc))
 	for i := 0; i < hdr.Records; i++ {
 		var rec TraceRecord
@@ -285,12 +288,61 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("workload: trace record %d truncated: %w", i, err)
 		}
 		rec.ComputeFrac = math.Float64frombits(bits)
+		if err := checkRecord(&rec, widths[rec.App], prev); err != nil {
+			return nil, fmt.Errorf("workload: trace record %d: %w", i, err)
+		}
+		prev = rec.Arrival
 		t.Records = append(t.Records, rec)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("workload: trailing bytes after %d records", hdr.Records)
 	}
 	return t, nil
+}
+
+// featureWidths returns each app's feature-vector width, -1 for apps
+// this build does not know.
+func featureWidths(apps []string) []int {
+	widths := make([]int, len(apps))
+	for i, name := range apps {
+		widths[i] = -1
+		if a := ByName(name); a != nil {
+			widths[i] = len(a.FeatureSpecs())
+		}
+	}
+	return widths
+}
+
+// checkRecord rejects a record a replay would crash on or misorder: a
+// feature count other than its app's width (width < 0 skips the check),
+// an arrival that is non-finite, negative or earlier than prev, a
+// service demand that is non-finite or not positive, or a compute
+// fraction outside [0,1]. Each comparison is written so NaN fails it.
+func checkRecord(rec *TraceRecord, width int, prev sim.Time) error {
+	arrival, service := float64(rec.Arrival), float64(rec.ServiceBase)
+	switch {
+	case width >= 0 && len(rec.Features) != width:
+		return fmt.Errorf("%d features, app has %d", len(rec.Features), width)
+	case !(arrival >= float64(prev) && arrival <= math.MaxFloat64):
+		return fmt.Errorf("arrival %v is not finite, non-negative and at or after %v", arrival, float64(prev))
+	case !(service > 0 && service <= math.MaxFloat64):
+		return fmt.Errorf("service demand %v is not finite and positive", service)
+	case !(rec.ComputeFrac >= 0 && rec.ComputeFrac <= 1):
+		return fmt.Errorf("compute fraction %v outside [0,1]", rec.ComputeFrac)
+	}
+	return nil
+}
+
+// Window splits the trace's span (its last arrival) 1:5 into the warmup
+// and measured duration that reproduce its recording horizon: a stream
+// recorded over warmup+duration = 1.2×duration spans that window.
+func (t *Trace) Window() (warmup, dur sim.Duration) {
+	if len(t.Records) == 0 {
+		return 0, 0
+	}
+	span := sim.Duration(t.Records[len(t.Records)-1].Arrival)
+	warmup = span / 6
+	return warmup, span - warmup
 }
 
 // SingleApp returns the app a replay of the trace drives, or an error

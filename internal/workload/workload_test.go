@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -404,6 +407,64 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("arrival %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPoissonStreamPinned pins NewGenerator's stream bit for bit: IDs,
+// arrival times, service demands, compute fractions and features of the
+// paper's Poisson client at (xapian, 800 RPS, seed 99) over 2.5 s. The
+// digest was captured from the dedicated single-client generator that the
+// one-client population replaced.
+func TestPoissonStreamPinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	n := 0
+	e := sim.NewEngine()
+	g := NewGenerator(NewXapian(), 800, 99, func(_ *sim.Engine, r *Request) {
+		n++
+		put(r.ID)
+		put(math.Float64bits(float64(r.Gen)))
+		put(math.Float64bits(float64(r.ServiceBase)))
+		put(math.Float64bits(r.ComputeFrac))
+		put(uint64(len(r.Features)))
+		for _, f := range r.Features {
+			put(math.Float64bits(f))
+		}
+	})
+	g.Start(e)
+	e.Run(2.5)
+	const want = "19685e76c5c4bb130007885e68e2d84c4ef6aab7d475fb902bf32c5394f47415"
+	if got := hex.EncodeToString(h.Sum(nil)); n != 2008 || got != want {
+		t.Fatalf("%d requests, digest %s; want 2008, %s", n, got, want)
+	}
+}
+
+// TestGeneratorSetRateScale: scaling a generator's rate by f draws the
+// same gaps as a generator built at rps·f from the same seed.
+func TestGeneratorSetRateScale(t *testing.T) {
+	arrivals := func(rps, scale float64) []sim.Time {
+		e := sim.NewEngine()
+		var at []sim.Time
+		g := NewGenerator(NewMasstree(), rps, 15, func(_ *sim.Engine, r *Request) { at = append(at, r.Gen) })
+		g.SetRateScale(scale)
+		g.Start(e)
+		e.Run(1)
+		return at
+	}
+	for _, f := range []float64{0.5, 2, 3} {
+		scaled, direct := arrivals(400, f), arrivals(400*f, 1)
+		if len(scaled) == 0 || len(scaled) != len(direct) {
+			t.Fatalf("f=%v: %d vs %d arrivals", f, len(scaled), len(direct))
+		}
+		for i := range scaled {
+			if scaled[i] != direct[i] {
+				t.Fatalf("f=%v: arrival %d at %v, want %v", f, i, scaled[i], direct[i])
+			}
 		}
 	}
 }
