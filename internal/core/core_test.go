@@ -329,3 +329,26 @@ func TestEvaluateManagerRMSE(t *testing.T) {
 		t.Fatalf("live RMSE/QoS = %v", met.RMSE/res.QoSTarget)
 	}
 }
+
+// TestCalibrationEvaluateBitIdentical pins the drift baseline's
+// reproducibility: the RMSE of the calibrated model over its own training
+// set must be bit-identical call after call, and equal to the baseline
+// Calibrate stored. It sums over TrainingSet.All(), so it holds only
+// while All iterates levels in a fixed order.
+func TestCalibrationEvaluateBitIdentical(t *testing.T) {
+	cal, err := Calibrate(workload.ByName("xapian"), testPlatform(), 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qos := float64(cal.App.QoS().Latency)
+	for i := 0; i < 200; i++ {
+		met, err := predict.Evaluate(cal.Model, cal.Training.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := met.RMSE / qos; math.Float64bits(got) != math.Float64bits(cal.BaselineRMSEOverQoS) {
+			t.Fatalf("call %d: RMSE/QoS %v (bits %#x), calibrated baseline %v (bits %#x)",
+				i, got, math.Float64bits(got), cal.BaselineRMSEOverQoS, math.Float64bits(cal.BaselineRMSEOverQoS))
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"retail/internal/cpu"
-	"retail/internal/policy"
 	"retail/internal/predict"
 	"retail/internal/server"
 	"retail/internal/sim"
@@ -130,22 +129,36 @@ func TestObservableFeatures(t *testing.T) {
 	}
 }
 
-// TestReadiness pins the manager-side contract on the shared readiness
-// tracker: requests are keyed by ID, and forgetting a completed request
-// resets its state (the policy package's own tests cover the type; this
-// one keeps the adapter's usage honest).
+// TestReadiness pins ReTail's readiness bookkeeping, which lives in the
+// request's memo slot: a fresh request is unready (its late features read
+// as zero), Ready marks it and rebuilds the features, and Complete returns
+// the slot so the request starts unready again. A request that turns
+// ready before any decision predicted it carries the bit into the slot
+// it gets later.
 func TestReadiness(t *testing.T) {
-	rd := policy.NewReadiness()
-	r := &workload.Request{ID: 42}
-	if rd.IsReady(r.ID) {
-		t.Fatal("fresh request marked ready")
+	app := varApp{base: 5e-3, slope: 1e-3, spread: 10, lateness: 0.5, qos: workload.QoS{Latency: 60e-3, Percentile: 99}}
+	rig := newRig(t, app, 1)
+	m := NewReTail(app.QoS(), rig.retailConfig())
+	m.Attach(rig.e, rig.srv)
+	w := rig.srv.Workers()[0]
+	r := &workload.Request{ID: 42, Features: []float64{7}, ServiceBase: 10e-3, ComputeFrac: 1}
+	if ent := m.entryFor(r); ent.ready || ent.feats[0] != 0 {
+		t.Fatalf("fresh request: ready=%v features=%v", ent.ready, ent.feats)
 	}
-	rd.MarkReady(r.ID)
-	if !rd.IsReady(r.ID) {
-		t.Fatal("MarkReady had no effect")
+	m.Ready(rig.e, w, r) // idle worker: marks readiness, decides nothing
+	if ent := m.entryFor(r); !ent.ready || ent.feats[0] != 7 {
+		t.Fatalf("after Ready: ready=%v features=%v", ent.ready, ent.feats)
 	}
-	rd.Forget(r.ID)
-	if rd.IsReady(r.ID) {
-		t.Fatal("Forget had no effect")
+	m.Complete(rig.e, w, r)
+	if r.MemoSlot != 0 {
+		t.Fatalf("Complete left slot %d on the request", r.MemoSlot)
+	}
+	if m.entryFor(r).ready {
+		t.Fatal("completed request still ready")
+	}
+	early := &workload.Request{ID: 43, Features: []float64{8}, ServiceBase: 10e-3, ComputeFrac: 1}
+	m.Ready(rig.e, w, early)
+	if ent := m.entryFor(early); !ent.ready || ent.feats[0] != 8 {
+		t.Fatalf("ready before its first prediction: ready=%v features=%v", ent.ready, ent.feats)
 	}
 }

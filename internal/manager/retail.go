@@ -82,7 +82,6 @@ type ReTail struct {
 	cfg  ReTailConfig
 	srv  *server.Server
 	qos  workload.QoS
-	rd   *policy.Readiness
 	grid *cpu.Grid
 
 	model predict.Predictor
@@ -100,18 +99,14 @@ type ReTail struct {
 	// feature vector and the per-level predicted service times, keyed by
 	// (readiness, model generation): one decision does at most Q feature
 	// builds and each (level, request) pair is predicted once until the
-	// request's readiness flips or the model is retrained. Entries are
-	// recycled through predFree when requests complete, so steady state
-	// allocates nothing. See predictService for the inference-counting rule.
-	pred     map[uint64]*predEntry
-	predFree []*predEntry
+	// request's readiness flips or the model is retrained. A request gets
+	// a memo slot the first time a decision predicts it; its MemoSlot
+	// field names the slot (see slot) and Complete returns the slot to
+	// memoFree, so steady state allocates nothing and no lookup hashes.
+	// See predictService for the inference-counting rule.
+	memo     []predEntry
+	memoFree []int32
 	modelGen uint64
-	// One-entry lookup cache over pred: Algorithm 1 consults the memo for
-	// the same request many times in a row (once per candidate level and
-	// pipeline slot), and the repeated map hash dominates entryFor. The ID
-	// double-check makes a recycled pooled Request pointer miss.
-	lastID  uint64
-	lastEnt *predEntry
 	// scratch backs the Complete hook's feature build (drift bookkeeping),
 	// which needs no memo because each completed request is scored once.
 	scratch []float64
@@ -180,9 +175,7 @@ func NewReTail(qos workload.QoS, cfg ReTailConfig) *ReTail {
 	m := &ReTail{
 		cfg:      cfg,
 		qos:      qos,
-		rd:       policy.NewReadiness(),
 		model:    cfg.Model,
-		pred:     map[uint64]*predEntry{},
 		headOnly: cfg.Params.Alg1.HeadOnly,
 		classes:  cfg.Params.ClassTargets(),
 	}
@@ -328,42 +321,65 @@ func (m *ReTail) monitorTick(now policy.Time) {
 	}
 }
 
-// predEntry is one request's prediction-memo slot: the observable feature
-// vector and the per-level predicted service times (NaN = not yet
-// computed), both valid for a specific (readiness, model generation) pair.
+// predEntry is one request's prediction-memo slot: its readiness, and
+// the observable feature vector and per-level predicted service times
+// (NaN = not yet computed), both valid for the (readiness, model
+// generation) pair they were built for.
 type predEntry struct {
-	modelGen uint64
-	ready    bool
+	ready    bool   // stage-1 features observable (Ready fired)
+	built    bool   // the readiness feats and vals were built for
+	modelGen uint64 // the model generation vals were predicted with
 	feats    []float64
 	vals     []float64
+}
+
+// readyNoSlot is the MemoSlot value of a request that turned ready before
+// any decision predicted it. Positive values are memo slot + 1 and 0 is
+// an unready request without a slot. Claiming slots only for predicted
+// requests keeps the memo as small as the set of requests Algorithm 1
+// has actually looked at, which in a deep queue is fewer than the
+// requests in flight.
+const readyNoSlot = -1
+
+// slot returns r's memo entry, claiming a free slot (to be rebuilt) the
+// first time a decision predicts the request.
+func (m *ReTail) slot(r *workload.Request) *predEntry {
+	if r.MemoSlot > 0 {
+		return &m.memo[r.MemoSlot-1]
+	}
+	ready := r.MemoSlot == readyNoSlot
+	var i int32
+	if n := len(m.memoFree); n > 0 {
+		i = m.memoFree[n-1]
+		m.memoFree = m.memoFree[:n-1]
+	} else {
+		i = int32(len(m.memo))
+		m.memo = append(m.memo, predEntry{})
+	}
+	r.MemoSlot = i + 1
+	ent := &m.memo[i]
+	ent.ready = ready
+	ent.modelGen = m.modelGen - 1 // force the rebuild in entryFor
+	return ent
+}
+
+// releaseSlot returns r's memo slot, if it has one, once the request
+// leaves the system.
+func (m *ReTail) releaseSlot(r *workload.Request) {
+	if r.MemoSlot > 0 {
+		m.memoFree = append(m.memoFree, r.MemoSlot-1)
+	}
+	r.MemoSlot = 0
 }
 
 // entryFor returns r's memo entry, (re)building the cached feature vector
 // and invalidating stale predictions when the request's readiness or the
 // model generation changed since the entry was filled.
 func (m *ReTail) entryFor(r *workload.Request) *predEntry {
-	ready := m.rd.IsReady(r.ID)
-	var ent *predEntry
-	if m.lastEnt != nil && m.lastID == r.ID {
-		ent = m.lastEnt
-	} else {
-		ent = m.pred[r.ID]
-	}
-	if ent == nil {
-		if n := len(m.predFree); n > 0 {
-			ent = m.predFree[n-1]
-			m.predFree[n-1] = nil
-			m.predFree = m.predFree[:n-1]
-		} else {
-			ent = &predEntry{}
-		}
-		ent.modelGen = m.modelGen - 1 // force the rebuild below
-		m.pred[r.ID] = ent
-	}
-	m.lastID, m.lastEnt = r.ID, ent
-	if ent.modelGen != m.modelGen || ent.ready != ready {
-		ent.modelGen, ent.ready = m.modelGen, ready
-		ent.feats = AppendObservableFeatures(ent.feats, m.cfg.Layout.Specs, r, ready, false)
+	ent := m.slot(r)
+	if ent.modelGen != m.modelGen || ent.built != ent.ready {
+		ent.modelGen, ent.built = m.modelGen, ent.ready
+		ent.feats = AppendObservableFeatures(ent.feats, m.cfg.Layout.Specs, r, ent.ready, false)
 		n := m.grid.Levels()
 		if cap(ent.vals) < n {
 			ent.vals = make([]float64, n)
@@ -374,18 +390,6 @@ func (m *ReTail) entryFor(r *workload.Request) *predEntry {
 		}
 	}
 	return ent
-}
-
-// forgetPrediction recycles r's memo entry once the request leaves the
-// system.
-func (m *ReTail) forgetPrediction(r *workload.Request) {
-	if ent, ok := m.pred[r.ID]; ok {
-		delete(m.pred, r.ID)
-		m.predFree = append(m.predFree, ent)
-		if ent == m.lastEnt {
-			m.lastEnt = nil
-		}
-	}
 }
 
 // predictService returns the model's predicted service time for r at lvl,
@@ -401,13 +405,7 @@ func (m *ReTail) forgetPrediction(r *workload.Request) {
 // implementation.
 func (m *ReTail) predictService(lvl cpu.Level, r *workload.Request) float64 {
 	m.inferences++
-	ent := m.entryFor(r)
-	if v := ent.vals[lvl]; !math.IsNaN(v) {
-		return v
-	}
-	v := m.model.Predict(lvl, ent.feats)
-	ent.vals[lvl] = v
-	return v
+	return m.peekPredict(lvl, r)
 }
 
 // simPipeline adapts one worker's pipeline (head, queued requests, and
@@ -575,7 +573,11 @@ func (m *ReTail) Arrival(e *sim.Engine, w *server.Worker, r *workload.Request) b
 
 // Ready implements server.Hooks.
 func (m *ReTail) Ready(e *sim.Engine, w *server.Worker, r *workload.Request) {
-	m.rd.MarkReady(r.ID)
+	if r.MemoSlot > 0 {
+		m.memo[r.MemoSlot-1].ready = true
+	} else {
+		r.MemoSlot = readyNoSlot
+	}
 	// Fresh application features can change the pipeline estimate.
 	if cur := w.Current(); cur != nil && cur != r {
 		m.decide(e, w, cur, w.ProgressFraction(e.Now()), nil)
@@ -607,8 +609,7 @@ func cleanSample(r *workload.Request) bool {
 // (re)training, feed the drift detector and the latency monitor.
 func (m *ReTail) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	m.mon.Observe(float64(e.Now()), float64(r.Sojourn()))
-	m.rd.Forget(r.ID)
-	m.forgetPrediction(r)
+	m.releaseSlot(r)
 	if cleanSample(r) {
 		actual := float64(r.ServiceTime())
 		lvl := cpu.Level(r.ServedLevel)

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"retail/internal/cpu"
@@ -319,4 +320,87 @@ func (h *readyInterceptor) Start(e *sim.Engine, w *server.Worker, r *workload.Re
 }
 func (h *readyInterceptor) Complete(e *sim.Engine, w *server.Worker, r *workload.Request) {
 	h.inner.Complete(e, w, r)
+}
+
+// TestRetailMemoSlotLifecycle runs ReTail over pooled requests, as the
+// fleet does: the slots in use are exactly those held by in-flight
+// requests, no two requests share one, a completed request holds none,
+// and a recycled Request starts from a fresh, unready slot with none of
+// its predecessor's predictions.
+func TestRetailMemoSlotLifecycle(t *testing.T) {
+	app := varApp{base: 2e-3, slope: 0.2e-3, spread: 20, qos: workload.QoS{Latency: 30e-3, Percentile: 99}}
+	rig := newRig(t, app, 2)
+	m := NewReTail(app.QoS(), rig.retailConfig())
+	m.Attach(rig.e, rig.srv)
+	pool := &workload.RequestPool{}
+	inflight := map[*workload.Request]bool{}
+	rig.srv.CompletedSink = func(_ *sim.Engine, r *workload.Request) {
+		if r.MemoSlot != 0 {
+			t.Fatalf("completed request %d still holds slot %d", r.ID, r.MemoSlot)
+		}
+		delete(inflight, r)
+		pool.Put(r)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var id uint64
+	recycled := 0
+	var arrive func(*sim.Engine)
+	arrive = func(en *sim.Engine) {
+		r := pool.Get()
+		if cap(r.Features) > 0 {
+			recycled++
+		}
+		id++
+		x := float64(rng.Intn(app.spread))
+		r.ID, r.App, r.Gen, r.ComputeFrac = id, app.Name(), en.Now(), 1
+		r.Features = append(r.Features, x)
+		r.ServiceBase = sim.Duration(app.base + app.slope*x)
+		inflight[r] = true
+		rig.srv.Submit(en, r)
+		en.After(sim.Duration(rng.ExpFloat64()*2.5e-3), "arrive", arrive)
+	}
+	rig.e.At(0, "arrive", arrive)
+	rig.e.Run(2)
+	if recycled == 0 || len(inflight) == 0 {
+		t.Fatalf("run too small to check: %d recycled, %d in flight", recycled, len(inflight))
+	}
+	slots := map[int32]bool{}
+	for r := range inflight {
+		if r.MemoSlot > 0 {
+			if slots[r.MemoSlot] {
+				t.Fatalf("in-flight request %d shares slot %d", r.ID, r.MemoSlot)
+			}
+			slots[r.MemoSlot] = true
+		}
+	}
+	if inUse := len(m.memo) - len(m.memoFree); inUse != len(slots) || inUse == 0 {
+		t.Fatalf("%d memo slots in use, %d held by the %d requests in flight", inUse, len(slots), len(inflight))
+	}
+
+	// A request completes ready with memoized predictions; the pool hands
+	// its node to the next arrival, which must see none of that state.
+	app.lateness = 0.5 // unready requests read their feature as zero
+	idle := newRig(t, app, 1)
+	late := NewReTail(app.QoS(), idle.retailConfig())
+	late.Attach(idle.e, idle.srv)
+	w := idle.srv.Workers()[0]
+	r := pool.Get()
+	r.ID, r.Features, r.ServiceBase, r.ComputeFrac = 1, append(r.Features, 7), 10e-3, 1
+	late.Ready(idle.e, w, r)
+	late.peekPredict(0, r)
+	slot := r.MemoSlot
+	late.Complete(idle.e, w, r)
+	pool.Put(r)
+	next := pool.Get()
+	if next != r || next.MemoSlot != 0 {
+		t.Fatalf("pool returned %p with slot %d, want the recycled %p with none", next, next.MemoSlot, r)
+	}
+	next.ID, next.Features, next.ServiceBase, next.ComputeFrac = 2, append(next.Features, 3), 10e-3, 1
+	ent := late.entryFor(next)
+	if next.MemoSlot != slot {
+		t.Fatalf("successor got slot %d, want the freed slot %d", next.MemoSlot, slot)
+	}
+	if ent.ready || ent.feats[0] != 0 || !math.IsNaN(ent.vals[0]) {
+		t.Fatalf("successor inherited state: ready=%v features=%v vals[0]=%v", ent.ready, ent.feats, ent.vals[0])
+	}
 }

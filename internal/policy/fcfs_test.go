@@ -75,22 +75,6 @@ func TestDegradePredicates(t *testing.T) {
 	}
 }
 
-// TestReadiness tracks mark/query/forget by request ID.
-func TestReadiness(t *testing.T) {
-	rd := NewReadiness()
-	if rd.IsReady(7) {
-		t.Fatal("unknown request ready")
-	}
-	rd.MarkReady(7)
-	if !rd.IsReady(7) {
-		t.Fatal("marked request not ready")
-	}
-	rd.Forget(7)
-	if rd.IsReady(7) {
-		t.Fatal("forgotten request still ready")
-	}
-}
-
 // timerFunc adapts a func to the Timer interface for RunMonitor tests.
 type timerFunc func(d Duration, name string, fn func(Time))
 

@@ -1,8 +1,8 @@
 // Package policy is the clock-agnostic decision core of the ReTail
 // reproduction: Algorithm 1 (frequency enumeration over a worker's
 // pipeline), the QoS′ latency monitor (§VI-C), the JSQ dispatch rule,
-// feature-readiness tracking, the graceful-degradation predicates
-// (shed/deadline) and the baseline policies (Rubik, Gemini, EETL).
+// the graceful-degradation predicates (shed/deadline) and the baseline
+// policies (Rubik, Gemini, EETL).
 //
 // The package deliberately knows nothing about *how* time advances. Both
 // runtimes adapt it:

@@ -44,28 +44,42 @@ type Sample struct {
 
 // TrainingSet holds the most recent samples per frequency level in a ring,
 // so online retraining always uses the latest data (stale pre-drift
-// samples age out).
+// samples age out). Levels are dense small integers, so the rings sit in
+// a slice indexed by level, grown to the highest level seen; Total, All
+// and Clone walk them in level order, which keeps every float sum over
+// All() reproducible run to run.
 type TrainingSet struct {
 	// mu serializes Clone against Add (and concurrent Clones of one
 	// shared calibration set, as the fleet fan-out performs). At/All stay
-	// lock-free: they read buffers that sharing freezes (see cow).
-	mu       sync.Mutex
-	perLevel map[cpu.Level][]Sample
-	// head[lvl] is the ring's oldest slot once the level is full; the
-	// logical (oldest-first) order is buf[head:], buf[:head]. Keeping a
-	// rotating head makes Add O(1) — the previous shift-down eviction
-	// copied the whole ring (with its pointer-bearing feature slices, so
-	// write barriers too) on every steady-state sample.
-	head map[cpu.Level]int
-	// cow marks levels whose buffer and feature backings are shared with
-	// another set via Clone. Shared arrays are immutable; the first Add
-	// to a shared level materializes a private deep copy. Calibration
+	// lock-free: they read buffers that sharing freezes (see ring.shared).
+	mu    sync.Mutex
+	rings []ring
+	cap   int
+}
+
+// ring is one level's samples.
+type ring struct {
+	buf []Sample
+	// head is the ring's oldest slot once the level is full; the logical
+	// (oldest-first) order is buf[head:], buf[:head]. Keeping a rotating
+	// head makes Add O(1) — a shift-down eviction would copy the whole
+	// ring (with its pointer-bearing feature slices, so write barriers
+	// too) on every steady-state sample.
+	head int
+	// shared marks a buffer whose sample and feature backings are shared
+	// with another set via Clone. Shared arrays are immutable; the first
+	// Add to a shared level materializes a private deep copy. Calibration
 	// sets are cloned per node/run but most clones retrain only a few
 	// levels (many never), so lazy copying removes the dominant
 	// allocation of a fleet run without weakening isolation: samples
 	// added to any set are never visible to another.
-	cow map[cpu.Level]bool
-	cap int
+	shared bool
+}
+
+// appendOrdered appends the ring's samples oldest first.
+func (r *ring) appendOrdered(out []Sample) []Sample {
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
 }
 
 // NewTrainingSet returns a set keeping up to capPerLevel samples per
@@ -74,12 +88,7 @@ func NewTrainingSet(capPerLevel int) *TrainingSet {
 	if capPerLevel <= 0 {
 		capPerLevel = 1000
 	}
-	return &TrainingSet{
-		perLevel: map[cpu.Level][]Sample{},
-		head:     map[cpu.Level]int{},
-		cow:      map[cpu.Level]bool{},
-		cap:      capPerLevel,
-	}
+	return &TrainingSet{cap: capPerLevel}
 }
 
 // Add records a sample, evicting the oldest at that level when full. The
@@ -90,34 +99,48 @@ func NewTrainingSet(capPerLevel int) *TrainingSet {
 func (t *TrainingSet) Add(s Sample) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.cow[s.Level] {
-		t.materialize(s.Level)
+	if n := int(s.Level) + 1; n > len(t.rings) {
+		t.rings = append(t.rings, make([]ring, n-len(t.rings))...)
 	}
-	buf := t.perLevel[s.Level]
-	if len(buf) == t.cap {
-		h := t.head[s.Level]
-		old := buf[h].Features[:0]
+	r := &t.rings[s.Level]
+	if r.shared {
+		t.materialize(r)
+	}
+	if len(r.buf) == t.cap {
+		old := r.buf[r.head].Features[:0]
 		s.Features = append(old, s.Features...)
-		buf[h] = s
-		h++
-		if h == t.cap {
-			h = 0
+		r.buf[r.head] = s
+		r.head++
+		if r.head == t.cap {
+			r.head = 0
 		}
-		t.head[s.Level] = h
 	} else {
 		s.Features = append(make([]float64, 0, len(s.Features)), s.Features...)
-		t.perLevel[s.Level] = append(buf, s)
+		r.buf = append(r.buf, s)
 	}
 }
 
+// level returns lvl's ring, or nil when no sample at lvl was ever added.
+func (t *TrainingSet) level(lvl cpu.Level) *ring {
+	if lvl < 0 || int(lvl) >= len(t.rings) {
+		return nil
+	}
+	return &t.rings[lvl]
+}
+
 // CountAt returns the number of samples stored for a level.
-func (t *TrainingSet) CountAt(lvl cpu.Level) int { return len(t.perLevel[lvl]) }
+func (t *TrainingSet) CountAt(lvl cpu.Level) int {
+	if r := t.level(lvl); r != nil {
+		return len(r.buf)
+	}
+	return 0
+}
 
 // Total returns the total sample count across levels.
 func (t *TrainingSet) Total() int {
 	n := 0
-	for _, b := range t.perLevel {
-		n += len(b)
+	for i := range t.rings {
+		n += len(t.rings[i].buf)
 	}
 	return n
 }
@@ -127,23 +150,22 @@ func (t *TrainingSet) Total() int {
 // it materializes the logical order — callers of At are (re)training paths,
 // which run orders of magnitude less often than Add.
 func (t *TrainingSet) At(lvl cpu.Level) []Sample {
-	buf := t.perLevel[lvl]
-	h := t.head[lvl]
-	if h == 0 {
-		return buf
+	r := t.level(lvl)
+	if r == nil {
+		return nil
 	}
-	out := make([]Sample, 0, len(buf))
-	out = append(out, buf[h:]...)
-	return append(out, buf[:h]...)
+	if r.head == 0 {
+		return r.buf
+	}
+	return r.appendOrdered(make([]Sample, 0, len(r.buf)))
 }
 
-// All returns every stored sample.
+// All returns every stored sample, by level ascending and oldest first
+// within a level.
 func (t *TrainingSet) All() []Sample {
 	out := make([]Sample, 0, t.Total())
-	for lvl, b := range t.perLevel {
-		h := t.head[lvl]
-		out = append(out, b[h:]...)
-		out = append(out, b[:h]...)
+	for i := range t.rings {
+		out = t.rings[i].appendOrdered(out)
 	}
 	return out
 }
@@ -152,23 +174,17 @@ func (t *TrainingSet) All() []Sample {
 func (t *TrainingSet) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.perLevel = map[cpu.Level][]Sample{}
-	t.head = map[cpu.Level]int{}
-	t.cow = map[cpu.Level]bool{}
+	t.rings = nil
 }
 
-// materialize replaces one shared level with a private deep copy in
+// materialize replaces one shared ring with a private deep copy in
 // logical (oldest-first) order, head 0 — exactly the state an eager clone
 // would have produced, so every subsequent Add behaves identically. One
 // flat backing per level, with each feature view capacity-capped to its
 // own span so a later in-place eviction cannot bleed into a neighbor.
 // Caller holds mu.
-func (t *TrainingSet) materialize(lvl cpu.Level) {
-	buf := t.perLevel[lvl]
-	h := t.head[lvl]
-	cp := make([]Sample, 0, t.cap)
-	cp = append(cp, buf[h:]...)
-	cp = append(cp, buf[:h]...)
+func (t *TrainingSet) materialize(r *ring) {
+	cp := r.appendOrdered(make([]Sample, 0, t.cap))
 	total := 0
 	for i := range cp {
 		total += len(cp[i].Features)
@@ -179,9 +195,7 @@ func (t *TrainingSet) materialize(lvl cpu.Level) {
 		flat = append(flat, cp[i].Features...)
 		cp[i].Features = flat[n:len(flat):len(flat)]
 	}
-	t.perLevel[lvl] = cp
-	t.head[lvl] = 0
-	delete(t.cow, lvl)
+	*r = ring{buf: cp}
 }
 
 // Clone returns an independent copy; experiment harnesses clone the
@@ -194,16 +208,11 @@ func (t *TrainingSet) materialize(lvl cpu.Level) {
 func (t *TrainingSet) Clone() *TrainingSet {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := NewTrainingSet(t.cap)
-	for lvl, buf := range t.perLevel {
-		c.perLevel[lvl] = buf
-		if h := t.head[lvl]; h != 0 {
-			c.head[lvl] = h
-		}
-		c.cow[lvl] = true
-		t.cow[lvl] = true
+	for i := range t.rings {
+		// An empty ring has nothing to share; its first Add just appends.
+		t.rings[i].shared = len(t.rings[i].buf) > 0
 	}
-	return c
+	return &TrainingSet{rings: append([]ring(nil), t.rings...), cap: t.cap}
 }
 
 // ---------------------------------------------------------------------------

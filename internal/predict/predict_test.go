@@ -76,6 +76,53 @@ func TestTrainingSetDefaultCap(t *testing.T) {
 	}
 }
 
+// TestTrainingSetAllLevelOrder pins the iteration order every float sum
+// over the set depends on: All (and a clone's All) lists levels in
+// ascending order, oldest sample first within a level, whatever order
+// the levels were first filled in; a level never filled is simply absent.
+func TestTrainingSetAllLevelOrder(t *testing.T) {
+	set := NewTrainingSet(2)
+	for _, s := range []Sample{
+		{Level: 3, Service: 30}, {Level: 0, Service: 1}, {Level: 3, Service: 31},
+		{Level: 2, Service: 20}, {Level: 3, Service: 32}, // level 3 wraps: keeps 31, 32
+	} {
+		s.Features = []float64{s.Service}
+		set.Add(s)
+	}
+	services := func(ss []Sample) []float64 {
+		var out []float64
+		for _, s := range ss {
+			out = append(out, s.Service)
+		}
+		return out
+	}
+	want := []float64{1, 20, 31, 32}
+	check := func(what string, got []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
+	}
+	check("All", services(set.All()))
+	if set.Total() != 4 || set.CountAt(1) != 0 || set.At(1) != nil || set.CountAt(7) != 0 {
+		t.Fatalf("Total=%d CountAt(1)=%d At(1)=%v CountAt(7)=%d", set.Total(), set.CountAt(1), set.At(1), set.CountAt(7))
+	}
+	c := set.Clone()
+	check("Clone().All", services(c.All()))
+	// Copy-on-write in both directions: neither side sees the other's Adds.
+	c.Add(Sample{Level: 0, Features: []float64{2}, Service: 2})
+	set.Add(Sample{Level: 2, Features: []float64{21}, Service: 21})
+	want = []float64{1, 20, 21, 31, 32}
+	check("parent All", services(set.All()))
+	want = []float64{1, 2, 20, 31, 32}
+	check("clone All", services(c.All()))
+}
+
 func TestFitLinearValidation(t *testing.T) {
 	if _, err := FitLinear(NewTrainingSet(10), FeatureLayout{}, 12); err == nil {
 		t.Fatal("empty set accepted")

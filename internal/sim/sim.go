@@ -7,10 +7,9 @@
 // managers on identical request streams; every source of randomness is a
 // seeded *rand.Rand owned by the caller, never the global one.
 //
-// The queue behind the engine is a calendar queue; the binary heap is
-// kept as the reference implementation. Both obey the same exact-ordering
-// contract, enforced by property tests that replay identical schedules
-// through each and compare the calendar against the heap.
+// The queue behind the engine is a 4-ary min-heap (queue.go). Property
+// tests replay random schedules through it and compare the fire sequence
+// against a linear-scan oracle.
 package sim
 
 import (
@@ -69,13 +68,12 @@ func (t Time) String() string {
 // generation-stamped handle that stays safe (Cancel becomes a no-op,
 // Cancelled reports false) after the node has been reused.
 type Event struct {
-	// Ordering and queue-bookkeeping fields first: the queue's scan and
-	// unlink paths touch only this 40-byte prefix, so it stays in one
-	// cache line per node.
+	// Ordering and queue-bookkeeping fields first: the heap's sift paths
+	// touch only this 32-byte prefix, so it stays in one cache line per
+	// node.
 	At    Time
 	seq   uint64
-	index int   // position within the queue's container; -1 once popped, -2 once cancelled
-	babs  int64 // queue-private location tag (calendar: absolute bucket)
+	index int // heap slot; -1 once popped, -2 once cancelled
 	gen   uint64
 
 	Do   func(*Engine)
@@ -121,54 +119,10 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the pluggable priority structure behind the engine. Every
-// implementation must pop in exact (At, seq) order and support O(~1)
-// removal of an arbitrary pending node (Cancel).
-type eventQueue interface {
-	// push inserts a node. The queue owns ev.index (and may use ev.babs)
-	// to remember the node's location until it is popped or removed.
-	push(ev *Event)
-	// popLE removes and returns the minimum node if its At is <= until,
-	// else returns nil and leaves the queue unchanged. Callable on an
-	// empty queue (returns nil): the engine's fire loop distinguishes the
-	// two nil cases with one len() call on the cold path.
-	popLE(until Time) *Event
-	// remove deletes a pending node (Cancel path).
-	remove(ev *Event)
-	// len returns the number of pending nodes.
-	len() int
-}
-
-// QueueKind selects the event-queue implementation behind an Engine.
-type QueueKind int
-
-const (
-	// QueueCalendar is a Brown-style dynamic calendar queue: O(1)
-	// amortized schedule/fire at any queue size. The default.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the original container/heap binary heap — the
-	// reference implementation the calendar is property-tested against.
-	QueueHeap
-)
-
-// QueueKinds lists every available queue implementation.
-func QueueKinds() []QueueKind { return []QueueKind{QueueCalendar, QueueHeap} }
-
-// String names the queue kind.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueCalendar:
-		return "calendar"
-	case QueueHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("QueueKind(%d)", int(k))
-}
-
-// Engine is the event loop. The zero value is not usable; call NewEngine.
+// Engine is the event loop. The zero value is an empty engine at time zero.
 type Engine struct {
 	now     Time
-	q       eventQueue
+	q       eventHeap
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -185,25 +139,8 @@ type Engine struct {
 	Trace func(at Time, name string)
 }
 
-// NewEngine returns an empty engine at time zero backed by the default
-// queue (calendar — the benchmark winner; see queue_bench_test.go).
-func NewEngine() *Engine {
-	return NewEngineWithQueue(QueueCalendar)
-}
-
-// NewEngineWithQueue returns an empty engine backed by the given queue
-// implementation. All kinds obey the identical ordering contract; non-
-// default kinds exist for differential testing and benchmarking.
-func NewEngineWithQueue(k QueueKind) *Engine {
-	e := &Engine{}
-	switch k {
-	case QueueHeap:
-		e.q = &heapQueue{}
-	default:
-		e.q = newCalendarQueue()
-	}
-	return e
-}
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -212,7 +149,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return len(e.q) }
 
 // schedule pulls a node off the freelist (or allocates one) and stamps it
 // with a fresh sequence number. The caller fills the callback and pushes.
@@ -297,9 +234,8 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	for !e.stopped {
-		next := e.q.popLE(until)
-		if next == nil {
-			if e.q.len() > 0 {
+		if len(e.q) == 0 || e.q[0].At > until {
+			if len(e.q) > 0 {
 				// Pending events exist but the earliest is past until.
 				// This branch runs even when until < now: the caller
 				// rewound the clock, and future At/After calls clamp to
@@ -310,6 +246,7 @@ func (e *Engine) Run(until Time) Time {
 			}
 			return e.now
 		}
+		next := e.q.pop()
 		e.now = next.At
 		e.fired++
 		if e.Trace != nil {

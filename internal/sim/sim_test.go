@@ -7,16 +7,10 @@ import (
 	"testing/quick"
 )
 
-// forEachQueue runs one behavioral test against every queue implementation:
-// the engine's semantics contract is queue-independent, so the whole suite
-// executes once per QueueKind (the ISSUE-7 constructor switch).
+// forEachQueue runs one behavioral test as a "heap" subtest: the engine's
+// semantics contract is checked against its one queue, the 4-ary heap.
 func forEachQueue(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
-	for _, k := range QueueKinds() {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			f(t, func() *Engine { return NewEngineWithQueue(k) })
-		})
-	}
+	t.Run("heap", func(t *testing.T) { f(t, NewEngine) })
 }
 
 func TestEngineOrdering(t *testing.T) {

@@ -84,6 +84,12 @@ type Request struct {
 	// leaves it 0; cohort specs can map classes to distinct QoS′ scales
 	// so the policy layer sheds and clocks classes differently.
 	SLOClass uint8
+	// MemoSlot belongs to the power manager serving the request: ReTail
+	// keeps its per-request prediction memo in a slot array and records
+	// the request's slot and feature readiness here (0 = neither yet).
+	// RequestPool.Get zeroes it. The field sits in the padding after
+	// SLOClass, so Request stays in its allocation size class.
+	MemoSlot int32
 
 	Gen   sim.Time
 	Recv  sim.Time
