@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,51 @@ func TestTrainingSetAllLevelOrder(t *testing.T) {
 	check("parent All", services(set.All()))
 	want = []float64{1, 2, 20, 31, 32}
 	check("clone All", services(c.All()))
+}
+
+// TestTrainingSetConcurrentClone is the fleet fan-out's use of one shared
+// calibration set: several goroutines clone it at once while it is read,
+// and each fills its own clone. Run under -race; every clone must end up
+// with the shared samples plus only its own.
+func TestTrainingSetConcurrentClone(t *testing.T) {
+	set := NewTrainingSet(4)
+	for i := 0; i < 12; i++ {
+		set.Add(Sample{Level: cpu.Level(i % 3), Features: []float64{float64(i)}, Service: float64(i)})
+	}
+	var wg sync.WaitGroup
+	clones := make([]*TrainingSet, 4)
+	for g := range clones {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			c := set.Clone()
+			for i := 0; i < 10; i++ {
+				v := float64(100 * (g + 1))
+				c.Add(Sample{Level: cpu.Level(i % 4), Features: []float64{v}, Service: v})
+			}
+			clones[g] = c
+		}()
+		go func() {
+			defer wg.Done()
+			if n := len(set.All()); n != 12 {
+				t.Errorf("shared set read %d samples, want 12", n)
+			}
+		}()
+	}
+	wg.Wait()
+	if set.Total() != 12 {
+		t.Fatalf("shared set holds %d samples after cloning, want 12", set.Total())
+	}
+	for g, c := range clones {
+		if c.Total() != 14 { // levels 0-2 stay full at 4; level 3 gets 2
+			t.Fatalf("clone %d holds %d samples, want 14", g, c.Total())
+		}
+		for _, s := range c.All() {
+			if s.Service >= 100 && s.Service != float64(100*(g+1)) {
+				t.Fatalf("clone %d holds clone sample %v", g, s.Service)
+			}
+		}
+	}
 }
 
 func TestFitLinearValidation(t *testing.T) {
