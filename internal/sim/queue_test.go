@@ -241,28 +241,38 @@ func TestHeapMatchesOracleNested(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesOracleShapes replays the two event-time shapes that
-// stress a bucketed queue hardest: a dense cluster of near-ties followed
-// by outliers hours apart, and the fleet's steady state — a few dozen
-// events churning at millisecond gaps under one measurement event
-// seconds ahead.
+// TestCalendarQueueResizeChurn replays the classic calendar-queue stress
+// shape: a dense cluster of near-ties followed by outliers hours apart,
+// which drives a bucketed queue through grow, shrink and direct-search
+// recalibration. The heap must fire all of it in the oracle's order.
+func TestCalendarQueueResizeChurn(t *testing.T) {
+	run := func(s scheduler) []string {
+		var log []string
+		record := func() { log = append(log, s.Now().String()) }
+		for i := 0; i < 2000; i++ {
+			s.schedule(Time(float64(i%50)*1e-6), record)
+		}
+		for i := 0; i < 10; i++ {
+			s.schedule(Time(1000+float64(i)*3600), record)
+		}
+		s.Run(Time(math.Inf(1)))
+		return log
+	}
+	got := run(newEngineSched())
+	if len(got) != 2010 {
+		t.Fatalf("fired %d, want 2010", len(got))
+	}
+	compareLogs(t, "denseThenSparse", got, run(newOracle()))
+}
+
+// TestHeapMatchesOracleShapes replays the fleet's steady state against
+// the oracle: a few dozen events churning at millisecond gaps under one
+// measurement event seconds ahead.
 func TestHeapMatchesOracleShapes(t *testing.T) {
 	shapes := []struct {
 		name string
 		run  func(s scheduler) []string
 	}{
-		{"denseThenSparse", func(s scheduler) []string {
-			var log []string
-			record := func() { log = append(log, s.Now().String()) }
-			for i := 0; i < 2000; i++ {
-				s.schedule(Time(float64(i%50)*1e-6), record)
-			}
-			for i := 0; i < 10; i++ {
-				s.schedule(Time(1000+float64(i)*3600), record)
-			}
-			s.Run(Time(math.Inf(1)))
-			return log
-		}},
 		{"fleetShape", func(s scheduler) []string {
 			rng := rand.New(rand.NewSource(7))
 			var log []string
